@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .arith import multiplicative_order
 from .census import ExtensionParams, degree_exponent
@@ -21,10 +21,6 @@ BOOKKEEPING_CAP = 10 ** 6  # max e*f for per-class enumeration
 
 DEFAULT_DERIVATION = "default_derivation"
 USER_OVERRIDE = "user_override"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ def default_aux_data(params: ExtensionParams) -> AuxFieldData:
     p, ell = params.p, params.ell
     e_rel = p ** ell - 1
     factor = (1 if params.ell_divides_fk else ell) * (p - 1)
-    f_rel = _lcm(e_rel, factor)
+    f_rel = lcm(e_rel, factor)
     return AuxFieldData(p=p, ell=ell, e_k=params.e_k, f_k=params.f_k,
                         e_rel=e_rel, f_rel=f_rel, source=DEFAULT_DERIVATION)
 
@@ -250,8 +246,8 @@ def constituents(i: int, aux: AuxFieldData) -> list[LevelConstituent]:
         if w != len(orbit) and b != 0:
             raise InvariantError("beta orbit size mismatch")
         g = gcd(ad.r, f_k)
-        d = _lcm(w, g)
-        dim = _lcm(ad.r * w // g, ad.r)
+        d = lcm(w, g)
+        dim = lcm(ad.r * w // g, ad.r)
         out.append(LevelConstituent(
             level=i, alpha_exp=min(ad.q_orbit), beta_exp=b, beta_modulus=m,
             alpha_order=ad.alpha_order, beta_order=beta_order,
@@ -329,8 +325,8 @@ def pair_classes(aux: AuxFieldData, dim_filter: int | None = None) -> list[PairC
             beta_order = m // gcd(m, b0) if b0 else 1
             w = multiplicative_order(p, beta_order)
             g = gcd(ad.r, f_k)
-            d = _lcm(w, g)
-            dim = _lcm(ad.r * w // g, ad.r)
+            d = lcm(w, g)
+            dim = lcm(ad.r * w // g, ad.r)
             if dim_filter is not None and dim != dim_filter:
                 continue
             t_set = tuple(sorted({t for t, _ in orbit}))
@@ -350,7 +346,7 @@ def pair_classes(aux: AuxFieldData, dim_filter: int | None = None) -> list[PairC
             pc = PairClass(
                 t=key[0], b=key[1], m=m,
                 alpha_order=ad.alpha_order, beta_order=beta_order,
-                c=_lcm(ad.alpha_order, beta_order),
+                c=lcm(ad.alpha_order, beta_order),
                 r=ad.r, w=w, s=ad.s, d=d, dim_over_fp=dim,
                 orbit=tuple(sorted(orbit)), t_set=t_set,
                 levels=tuple(class_levels), mult_by_level=tuple(mults),

@@ -8,16 +8,22 @@ digit tuples.  Construction is canonical: the modulus is the first monic
 irreducible of degree m in ascending integer encoding, the generator the
 least element of full multiplicative order, so two contexts built from
 equal (p, m) are identical.
+
+Discrete logs base that generator come from baby-step giant-step inside
+the cyclic subgroup generated by the argument, and are refused (never
+guessed) beyond DLOG_CAP baby steps.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .arith import Factorization, divisors, factorize, is_prime
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, InvariantError
 
 DEFAULT_CEILING = 1 << 32
+DLOG_CAP = 1 << 16  # baby steps: logs in subgroups of order <= 2^32
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +138,12 @@ def _bit_reduce(r: int, fbits: int, m: int) -> int:
 class FieldCtx:
     """Immutable-after-construction context for GF(p^m)."""
 
-    def __init__(self, p: int, m: int, ceiling: int) -> None:
+    def __init__(self, p: int, m: int) -> None:
         if not is_prime(p):
             raise DomainError(f"characteristic {p} is not prime")
         if m < 1:
             raise DomainError(f"degree must be >= 1, got {m}")
         order = p ** m
-        if order > ceiling:
-            raise CapacityError(f"p^m = {order} exceeds ceiling {ceiling}")
         self.p = p
         self.m = m
         self.order = order
@@ -305,14 +309,35 @@ class FieldCtx:
                 return r
         raise DomainError("unreachable")  # pragma: no cover
 
-    def frob_orbit(self, x: int) -> list[int]:
-        """Orbit of x under x -> x^p."""
-        orbit = [x]
-        y = self.frob(x)
-        while y != x:
-            orbit.append(y)
-            y = self.frob(y)
-        return orbit
+    def dlog(self, x: int) -> int:
+        """k in [0, p^m - 1) with generator^k == x.
+
+        Baby-step giant-step inside mu_d, d = element_order(x), with base
+        generator^((p^m - 1)/d); exact, since a match is an equality of
+        field elements.  Refuses when it needs more than DLOG_CAP baby steps,
+        i.e. when d > 2^32."""
+        d = self.element_order(x)
+        if d == 1:
+            return 0
+        steps = isqrt(d - 1) + 1  # ceil(sqrt(d)), so steps^2 >= d
+        if steps > DLOG_CAP:
+            raise CapacityError(
+                f"discrete log in a subgroup of order {d} needs {steps} "
+                f"baby steps, over cap {DLOG_CAP}")
+        base = self.root_of_unity(d)  # generates mu_d
+        baby: dict[int, int] = {}
+        y = 1
+        for j in range(steps):
+            baby[y] = j
+            y = self.mul(y, base)
+        giant = self.pow(base, d - steps % d)  # base^(-steps)
+        y = x
+        for i in range(steps):
+            j = baby.get(y)
+            if j is not None:
+                return (i * steps + j) % d * (self.mult_order // d)
+            y = self.mul(y, giant)
+        raise InvariantError(f"{x} of order {d} has no discrete log")
 
     def mult_matrix(self, a: int) -> list[int]:
         """Images of the power basis under multiplication by a (encoded)."""
@@ -330,15 +355,19 @@ class FieldCtx:
 
 @lru_cache(maxsize=256)
 def _make_field_cached(p: int, m: int) -> FieldCtx:
-    return FieldCtx(p, m, ceiling=1 << 62)
+    return FieldCtx(p, m)
 
 
 def make_field(p: int, m: int, ceiling: int = DEFAULT_CEILING) -> FieldCtx:
-    """Canonical GF(p^m) context; repeated calls share one cached object."""
+    """Canonical GF(p^m) context; repeated calls share one cached object.
+    The ceiling is checked here, before the cache: one context per
+    (p, m), whatever ceiling each caller passes."""
     if m < 1:
         raise DomainError(f"degree must be >= 1, got {m}")
-    if m > 256 or p ** m > ceiling:
-        raise CapacityError(f"p^{m} = {p ** m if m <= 256 else '...'} exceeds ceiling {ceiling}")
+    if m > 256:  # before p ** m, which a huge m makes expensive
+        raise CapacityError(f"degree {m} exceeds the degree cap 256")
+    if p ** m > ceiling:
+        raise CapacityError(f"p^{m} = {p ** m} exceeds ceiling {ceiling}")
     return _make_field_cached(p, m)
 
 

@@ -4,14 +4,20 @@ Generators are monomial ell x ell matrices over GF(p^ell): a diagonal
 matrix of Frobenius-conjugate entries and a cyclic-shift matrix with a
 corner coefficient.  Groups are classified by the invariant pair
 (c, split class), never by abstract isomorphism search; orders come from
-honest breadth-first closure over canonical matrix keys.
+honest breadth-first closure.
+
+The closure runs in exponent coordinates: each coefficient becomes its
+discrete log base the field's canonical generator (FieldCtx.dlog,
+baby-step giant-step, refused beyond ffield.DLOG_CAP = 2^16 baby steps,
+i.e. coefficient orders above 2^32), so a product of monomial matrices
+adds exponent tuples mod p^ell - 1 instead of multiplying field elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .arith import multiplicative_order
 from .census import (CensusReport, ExtensionParams, census_by_group,
@@ -80,34 +86,36 @@ def generator_matrices(ctx: FieldCtx, alpha: int, beta: int, ell: int) -> Matrix
     return MatrixPair(T=T, V=V)
 
 
-def group_closure_order(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> int:
-    """Order of the generated matrix group by explicit BFS closure."""
+def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> set:
+    """Elements of the generated matrix group by explicit BFS closure.
+
+    Every coefficient lies in the cyclic group GF(p^ell)^*, so each one is
+    written as its discrete log k (generator^k == coefficient) and a
+    product of monomial matrices adds exponent tuples mod p^ell - 1: the
+    law of MonomialMatrix.mul, with no field multiply.  Exponentiation is
+    an isomorphism, so the orders are those of the field-coordinate group.
+    Returns the keys (shift, exponent tuple)."""
     gens = list(generators)
-    seen = {MonomialMatrix.identity(gens[0].ell)}
-    frontier = list(seen)
+    ell = gens[0].ell
+    n = ctx.mult_order
+    logs: dict[int, int] = {}
+    laws = []
+    for g in gens:
+        for x in g.coeffs:
+            if x not in logs:
+                logs[x] = ctx.dlog(x)
+        # (m * g).coeffs[j] = g.coeffs[j] * m.coeffs[(j + g.shift) % ell]
+        laws.append((g.shift, tuple((logs[x], (j + g.shift) % ell)
+                                    for j, x in enumerate(g.coeffs))))
+    identity = (0, (0,) * ell)
+    seen = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m.mul(g, ctx)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise CapacityError(f"group closure exceeds cap {cap}")
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return len(seen)
-
-
-def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP):
-    gens = list(generators)
-    seen = {MonomialMatrix.identity(gens[0].ell)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m.mul(g, ctx)
+        for shift, exps in frontier:
+            for gshift, law in laws:
+                prod = ((shift + gshift) % ell,
+                        tuple((e + exps[i]) % n for e, i in law))
                 if prod not in seen:
                     if len(seen) >= cap:
                         raise CapacityError(f"group closure exceeds cap {cap}")
@@ -115,6 +123,15 @@ def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP):
                     nxt.append(prod)
         frontier = nxt
     return seen
+
+
+def group_closure_order(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> int:
+    """Order of the generated matrix group by explicit BFS closure.
+
+    Raises CapacityError when the group exceeds cap elements, and also
+    when a generator coefficient has multiplicative order above 2^32 (its
+    discrete log is refused), even if the group itself is small."""
+    return len(closure_elements(generators, ctx, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +192,11 @@ def split_class(ctx: FieldCtx, alpha: int, beta: int,
         raise DomainError("alpha and beta must be nonzero")
     if ctx.frob(beta) != beta:
         raise DomainError("beta must lie in the prime subfield")
-    c = _lcm(ctx.element_order(alpha), ctx.element_order(beta))
+    c = lcm(ctx.element_order(alpha), ctx.element_order(beta))
     beta_order = ctx.element_order(beta)
     if beta_is_power_residue(c, beta_order, p, ell):
         return ("split", 0)
     return ("nonsplit", nonsplit_index(c, beta, p, ell))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +365,8 @@ def _power_sum_root(ctx: FieldCtx, beta: int) -> int:
     ps = power_sum(ctx.p, ctx.m)
     if beta == 1:
         return 1
-    t = _dlog(ctx, beta)
+    t = ctx.dlog(beta)
     if t % ps != 0:
         raise InvariantError(f"no power-sum root for {beta}")
     return ctx.pow(ctx.generator, t // ps)
 
-
-def _dlog(ctx: FieldCtx, x: int) -> int:
-    """Brute discrete log base the canonical generator (small fields only)."""
-    if ctx.mult_order > 1 << 20:
-        raise CapacityError("discrete log table too large")
-    acc = 1
-    for k in range(ctx.mult_order):
-        if acc == x:
-            return k
-        acc = ctx.mul(acc, ctx.generator)
-    raise DomainError(f"{x} is not invertible")

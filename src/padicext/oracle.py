@@ -30,9 +30,10 @@ EXHAUSTIVE_CAP = 1 << 24
 SPIN_DIM_CAP = 64
 DEFAULT_BLOCK_CAP = 1 << 18
 # the real tractability gates are SPIN_DIM_CAP and the bookkeeping caps;
-# field arithmetic is polynomial-based, so the order may run to the
-# factorization input bound
-ORACLE_FIELD_CEILING = 1 << 96
+# field arithmetic is polynomial-based, so the order is bounded only by
+# factoring p^m - 1 soundly: 2^64 admits GF(2^64) at the spin cap and
+# stays below 3.317e24, where arith.is_prime's fixed witnesses are proven
+ORACLE_FIELD_CEILING = 1 << 64
 CLASSIFY_CAP = 10 ** 5
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from padicext.arith import divisors, euler_phi
 from padicext.errors import CapacityError, DomainError
-from padicext.ffield import FieldCtx, make_field
+from padicext.ffield import DLOG_CAP, FieldCtx, make_field
 
 GRID = [(2, 2), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 2), (5, 3),
         (7, 2), (11, 2), (13, 2)]
@@ -94,8 +94,8 @@ def test_order_census_exhaustive_small_fields():
 
 
 def test_construction_is_bit_identical():
-    a = FieldCtx(3, 4, ceiling=1 << 32)
-    b = FieldCtx(3, 4, ceiling=1 << 32)
+    a = FieldCtx(3, 4)
+    b = FieldCtx(3, 4)
     assert a.modulus == b.modulus
     assert a.generator == b.generator
     assert a.order_factorization == b.order_factorization
@@ -112,3 +112,44 @@ def test_element_order_of_zero_rejected():
     ctx = make_field(2, 3)
     with pytest.raises(DomainError):
         ctx.element_order(0)
+
+
+def test_ceiling_is_the_callers_not_a_fixed_one():
+    # the cache is keyed on (p, m) alone; a ceiling above 2^62 must still
+    # admit fields above 2^62
+    big = make_field(2, 64, ceiling=2 ** 96)
+    assert big.order == 2 ** 64
+    with pytest.raises(CapacityError, match=str(2 ** 96)):
+        make_field(2, 100, ceiling=2 ** 96)
+    with pytest.raises(CapacityError):
+        make_field(2, 64)  # the default ceiling still applies to a cached field
+    with pytest.raises(CapacityError, match="degree 300"):
+        make_field(2, 300, ceiling=2 ** 400)  # under the ceiling, over the degree cap
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (5, 2)])
+def test_dlog_matches_brute_force_walk(p, m):
+    ctx = make_field(p, m)
+    acc = 1
+    for k in range(ctx.mult_order):
+        assert ctx.dlog(acc) == k
+        acc = ctx.mul(acc, ctx.generator)
+    assert acc == 1
+
+
+def test_dlog_refuses_exactly_the_orders_above_2_32():
+    assert DLOG_CAP == 1 << 16
+    # GF(2^32): the generator's order 2^32 - 1 needs 2^16 baby steps
+    ctx = make_field(2, 32)
+    assert ctx.dlog(ctx.generator) == 1
+    x = 0xDEADBEEF
+    assert ctx.pow(ctx.generator, ctx.dlog(x)) == x
+    # GF(2^33): order 2^33 - 1 needs 92,682 baby steps; refused, not guessed
+    big = make_field(2, 33, ceiling=1 << 33)
+    with pytest.raises(CapacityError, match="order 8589934591.*cap 65536"):
+        big.dlog(big.generator)
+    # a small subgroup of the same field is still answered
+    seven = big.root_of_unity(7)
+    assert big.pow(big.generator, big.dlog(seven)) == seven
+    with pytest.raises(DomainError):
+        ctx.dlog(0)

@@ -1,13 +1,16 @@
 """Matrix catalog: generator identities, closures, split classes."""
 
+import random
+
 import pytest
 
 from padicext.census import ExtensionParams, census_by_group
-from padicext.errors import DomainError
+from padicext.errors import CapacityError, DomainError
 from padicext.ffield import make_field
-from padicext.groups import (catalog, cyclic_prime_field_model,
-                             generator_matrices, group_closure_order,
-                             nonabelian_prime_field_model, split_class)
+from padicext.groups import (MonomialMatrix, catalog, closure_elements,
+                             cyclic_prime_field_model, generator_matrices,
+                             group_closure_order, nonabelian_prime_field_model,
+                             split_class)
 from padicext.linalg import VecSpace
 from padicext.oracle import classify_submodule
 
@@ -163,3 +166,96 @@ def test_prime_field_models_close_to_matching_orders():
     dtau, dbeta = cyclic_prime_field_model(ctx, a7, 1)
     got_c = classify_submodule(2, 3, [dtau, dbeta])
     assert got_c.label == "C(7)"
+
+
+# ---------------------------------------------------------------------------
+# the exponent-coordinate closure against a field-coordinate reference
+
+def field_closure(generators, ctx, cap=10 ** 5):
+    """Reference: BFS closure over MonomialMatrix values, each product a
+    field multiply (MonomialMatrix.mul)."""
+    gens = list(generators)
+    seen = {MonomialMatrix.identity(gens[0].ell)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = m.mul(g, ctx)
+                if prod not in seen:
+                    if len(seen) >= cap:
+                        raise CapacityError(f"group closure exceeds cap {cap}")
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return seen
+
+
+def from_keys(keys, ell, ctx):
+    """Field-coordinate matrices of (shift, exponent tuple) closure keys."""
+    return {MonomialMatrix(ell, shift, tuple(ctx.pow(ctx.generator, k)
+                                             for k in exps))
+            for shift, exps in keys}
+
+
+def test_closure_matches_field_reference_on_small_catalogs():
+    primes = (2, 3, 5, 7, 11, 13)
+    checked = 0
+    for p in primes:
+        for ell in primes:
+            if p == ell or p ** ell > 1 << 14:
+                continue
+            ctx = make_field(p, ell)
+            for fk in (1,) + ((ell,) if ell <= 4 else ()):
+                for entry in catalog(ExtensionParams(p, ell, 1, fk),
+                                     closure_cap=10 ** 4):
+                    if entry.matrix_order is None:
+                        continue
+                    ref = len(field_closure(entry.generators, ctx, cap=10 ** 4))
+                    assert group_closure_order(entry.generators, ctx) == ref
+                    assert entry.matrix_order == ref
+                    checked += 1
+    assert checked > 50
+
+
+def _random_monomial(rng, ctx, ell):
+    return MonomialMatrix(ell, rng.randrange(ell),
+                          tuple(rng.randrange(1, ctx.order) for _ in range(ell)))
+
+
+@pytest.mark.parametrize("p,ell", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])
+def test_closure_matches_field_reference_on_random_pairs(p, ell):
+    ctx = make_field(p, ell)
+    rng = random.Random(p * 100 + ell)
+    for _ in range(12):
+        gens = [_random_monomial(rng, ctx, ell) for _ in range(2)]
+        ref = field_closure(gens, ctx)
+        keys = closure_elements(gens, ctx)
+        assert len(keys) == len(ref)
+        assert from_keys(keys, ell, ctx) == ref
+        # the cap refuses exactly the groups larger than it
+        with pytest.raises(CapacityError):
+            closure_elements(gens, ctx, cap=len(ref) - 1)
+        assert group_closure_order(gens, ctx, cap=len(ref)) == len(ref)
+
+
+def test_closure_when_coefficient_order_exceeds_group_order():
+    # V = shift with coefficients (x, x^-1): V^2 = I, whatever the order of x
+    for p in (3, 5, 13):
+        ctx = make_field(p, 2)
+        x = ctx.generator
+        v = MonomialMatrix(2, 1, (x, ctx.inv(x)))
+        assert group_closure_order([v], ctx) == 2
+        assert from_keys(closure_elements([v], ctx), 2, ctx) == \
+            field_closure([v], ctx)
+        t = MonomialMatrix(2, 0, (ctx.neg(1), 1))
+        assert group_closure_order([v, t], ctx) == len(field_closure([v, t], ctx))
+
+
+def test_closure_refuses_a_discrete_log_beyond_its_cap():
+    # a coefficient of order 2^40 - 1 needs 2^20 baby steps
+    ctx = make_field(2, 40, ceiling=1 << 40)
+    x = ctx.generator
+    v = MonomialMatrix(2, 1, (x, ctx.inv(x)))
+    with pytest.raises(CapacityError, match="baby steps"):
+        closure_elements([v], ctx)

@@ -9,7 +9,8 @@ from padicext.ffield import make_field
 from padicext.groups import (cyclic_prime_field_model,
                              nonabelian_prime_field_model)
 from padicext.linalg import VecSpace
-from padicext.oracle import (LevelRealization, Module, classify_submodule,
+from padicext.oracle import (ORACLE_FIELD_CEILING, LevelRealization, Module,
+                             classify_submodule,
                              enumerate_irreducible_submodules, oracle_census,
                              spin, subspace_count_law)
 
@@ -95,6 +96,19 @@ def test_enumerate_capacity_error_mentions_fallback():
     mod = trivial_module(2, 30)
     with pytest.raises(CapacityError, match="isotypic block"):
         enumerate_irreducible_submodules(mod, 2)
+
+
+def test_residue_field_ceiling_stays_within_proven_primality():
+    # building GF(p^m) factors p^m - 1 with fixed-witness Miller-Rabin,
+    # proven only below 3.317e24
+    assert ORACLE_FIELD_CEILING <= 3_317_044_064_679_887_385_961_981
+    params = ExtensionParams(3, 2, 1, 1)
+    # f_total = 56 is inside the spin cap, but 3^56 ~ 2^88.8 is refused
+    with pytest.raises(CapacityError, match=str(ORACLE_FIELD_CEILING)):
+        LevelRealization(params, make_aux_data(params, 8, 56))
+    # 3^40 ~ 2^63.4 is admitted
+    real = LevelRealization(params, make_aux_data(params, 8, 40))
+    assert real.kappa.order == 3 ** 40
 
 
 def test_classify_cyclic_and_nonabelian():
