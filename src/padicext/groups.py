@@ -24,6 +24,7 @@ from .census import (CensusReport, ExtensionParams, census_by_group,
                      cyclic_label, nonabelian_label)
 from .errors import CapacityError, DomainError, InvariantError
 from .ffield import FieldCtx, make_field
+from .linalg import VecSpace
 
 CLOSURE_CAP = 10 ** 5
 FIELD_CEILING = 1 << 62
@@ -80,8 +81,10 @@ def generator_matrices(ctx: FieldCtx, alpha: int, beta: int, ell: int) -> Matrix
     corner beta; deterministic in (alpha, beta)."""
     if alpha == 0 or beta == 0:
         raise DomainError("alpha and beta must be nonzero")
-    diag = tuple(ctx.frob(alpha, j) for j in range(ell))
-    T = MonomialMatrix(ell, 0, diag)
+    diag = [alpha]
+    for _ in range(ell - 1):  # x -> x^p: a pow by p, not by p^j
+        diag.append(ctx.frob(diag[-1]))
+    T = MonomialMatrix(ell, 0, tuple(diag))
     V = MonomialMatrix(ell, 1, (1,) * (ell - 1) + (beta,))
     return MatrixPair(T=T, V=V)
 
@@ -190,7 +193,7 @@ def split_class(ctx: FieldCtx, alpha: int, beta: int,
     p, ell = params.p, params.ell
     if alpha == 0 or beta == 0:
         raise DomainError("alpha and beta must be nonzero")
-    if ctx.frob(beta) != beta:
+    if beta >= p:  # the prime subfield is exactly the ints below p
         raise DomainError("beta must lie in the prime subfield")
     c = lcm(ctx.element_order(alpha), ctx.element_order(beta))
     beta_order = ctx.element_order(beta)
@@ -240,7 +243,7 @@ def catalog(params: ExtensionParams, closure_cap: int = CLOSURE_CAP,
         alpha = ctx.root_of_unity(c)
         if centry.kind == "cyclic":
             beta = 1
-            diag_a = MonomialMatrix(ell, 0, tuple(ctx.frob(alpha, j) for j in range(ell)))
+            diag_a = generator_matrices(ctx, alpha, 1, ell).T
             diag_b = MonomialMatrix(ell, 0, (1,) * ell)
             gens: tuple[MonomialMatrix, ...] = (diag_a, diag_b)
             expected = c
@@ -299,47 +302,15 @@ def _noncommuting_pair(gens, ctx: FieldCtx):
 # prime-field models (regular representation on the power basis)
 
 def regular_rep(ctx: FieldCtx, a: int) -> list[int]:
-    """Multiplication-by-a as basis images over F_p (encoded vectors of
-    the linalg codec: packed ints for p = 2, digit tuples otherwise)."""
-    images = ctx.mult_matrix(a)
-    if ctx.p == 2:
-        return images
-    return [ctx.digits(img) for img in images]
+    """Multiplication-by-a as basis images over F_p (linalg vectors)."""
+    space = VecSpace(ctx.p, ctx.m)
+    return [space.decode(img) for img in ctx.mult_matrix(a)]
 
 
-def frobenius_rep(ctx: FieldCtx, k: int = 1) -> list:
-    """x -> x^(p^k) as basis images over F_p."""
-    images = [ctx.frob(ctx.p ** j, k) for j in range(ctx.m)]
-    if ctx.p == 2:
-        return images
-    return [ctx.digits(img) for img in images]
-
-
-def compose_images(ctx: FieldCtx, outer: list, inner: list) -> list:
-    """Basis images of outer o inner (images in the linalg codec)."""
-    if ctx.p == 2:
-        out = []
-        for img in inner:
-            acc = 0
-            j = 0
-            while img:
-                if img & 1:
-                    acc ^= outer[j]
-                img >>= 1
-                j += 1
-            out.append(acc)
-        return out
-    p, m = ctx.p, ctx.m
-    out = []
-    for img in inner:
-        acc = [0] * m
-        for j, c in enumerate(img):
-            if c:
-                col = outer[j]
-                for i in range(m):
-                    acc[i] = (acc[i] + c * col[i]) % p
-        out.append(tuple(acc))
-    return out
+def frobenius_rep(ctx: FieldCtx, k: int = 1) -> list[int]:
+    """x -> x^(p^k) as basis images over F_p (linalg vectors)."""
+    space = VecSpace(ctx.p, ctx.m)
+    return [space.decode(ctx.frob(ctx.p ** j, k)) for j in range(ctx.m)]
 
 
 def cyclic_prime_field_model(ctx: FieldCtx, alpha: int, beta: int) -> list[list]:
@@ -355,7 +326,8 @@ def nonabelian_prime_field_model(ctx: FieldCtx, alpha: int, beta: int) -> list[l
     <T_alpha, V_beta>."""
     tau = regular_rep(ctx, alpha)
     root = _power_sum_root(ctx, beta)
-    v = compose_images(ctx, regular_rep(ctx, root), frobenius_rep(ctx, ctx.m - 1))
+    v = VecSpace(ctx.p, ctx.m).compose(regular_rep(ctx, root),
+                                       frobenius_rep(ctx, ctx.m - 1))
     return [tau, v]
 
 

@@ -1,128 +1,141 @@
 """Exact linear algebra over F_p on small vector spaces.
 
-Two codecs share one interface: characteristic 2 packs a vector into the
-bits of a Python int (coordinate i = bit i), odd characteristic uses
-coordinate tuples.  Subspaces are kept as reduced row echelon bases with
-pivots descending, which gives every subspace a unique hashable key.
-Dimensions stay below ~100, so O(n^2) row operations are fine; the only
-hot path is applying a fixed linear map during spinning, which gets
-byte-chunked XOR tables in characteristic 2.
+A vector of F_p^n is one int, coordinate i in the lane of bits
+[i*w, (i+1)*w).  For p = 2, w = 1: bit-packed vectors, summed by XOR.  For
+odd p the lanes have headroom: integer sums and multiples are exact while
+each lane stays at most H = LANE_HEADROOM*(p-1)^2, i.e. holds at most
+LANE_HEADROOM products a*b with a, b < p.  One Barrett step reduces every
+lane mod p at once, x - ((x*m >> s) & qmask)*p: s is the least shift with
+H*(p-1) < 2^s and m = ceil(2^s/p), so (x*m) >> s == x // p for x <= H; w is
+the bit length of H*m, so x*m never carries into the next lane; qmask keeps
+the low w - s bits of each lane.  Row operations reduce after every
+LANE_HEADROOM - 1 steps, and a map or product whose lane sums could pass H
+is refused with CapacityError when it is built.
+
+Reduced vectors compare like their base-p keys (coordinate n - 1 most
+significant).  Subspaces are reduced row echelon bases, pivots descending
+and pivot coefficient 1: a unique hashable key.  Dimensions stay below
+~100, so O(n^2) row operations are fine; applying a fixed map, the hot
+path of spinning, uses chunk tables (8 bits per XOR table for p = 2, at
+most 256 digit combinations per table for odd p).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+
+LANE_HEADROOM = 64  # products a*b (a, b < p) one lane sum may hold
+
+
+@lru_cache(maxsize=None)
+def _barrett(p: int) -> tuple[int, int, int]:
+    """(lane width w, shift s, multiplier m) for odd p."""
+    bound = LANE_HEADROOM * (p - 1) ** 2
+    s = (bound * (p - 1)).bit_length()
+    m = -(-(1 << s) // p)
+    return (bound * m).bit_length(), s, m
 
 
 class VecSpace:
-    """Coordinate space F_p^n with codec-aware helpers."""
+    """Coordinate space F_p^n; vectors are lane-packed ints."""
 
     def __init__(self, p: int, n: int) -> None:
         self.p = p
         self.n = n
-        self.packed = p == 2
+        if p == 2:
+            # m = qmask = 0 makes the Barrett step the identity
+            self.w, self._s, self._m, self._q = 1, 0, 0, 0
+        else:
+            w, self._s, self._m = _barrett(p)
+            self.w = w
+            every_lane = ((1 << (n * w)) - 1) // ((1 << w) - 1)
+            self._q = every_lane * ((1 << (w - self._s)) - 1)
+        self._lane = (1 << self.w) - 1
+
+    def _lanes(self, x: int) -> int:
+        """Every lane of x (each at most H) reduced mod p."""
+        return x - ((x * self._m >> self._s) & self._q) * self.p
 
     # -- vector basics ------------------------------------------------------
 
-    def zero(self):
-        return 0 if self.packed else (0,) * self.n
+    def zero(self) -> int:
+        return 0
 
-    def unit(self, i: int):
-        if self.packed:
-            return 1 << i
-        return tuple(1 if j == i else 0 for j in range(self.n))
+    def unit(self, i: int) -> int:
+        return 1 << (i * self.w)
 
-    def add(self, u, v):
-        if self.packed:
+    def component(self, v: int, j: int) -> int:
+        return (v >> (j * self.w)) & self._lane
+
+    def from_coords(self, coords: Iterable[int]) -> int:
+        """The vector with the given coordinates, taken mod p."""
+        p, w = self.p, self.w
+        return sum((c % p) << (j * w) for j, c in enumerate(coords))
+
+    def add(self, u: int, v: int) -> int:
+        if self.p == 2:
             return u ^ v
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(u, v))
+        return self._lanes(u + v)
 
-    def smul(self, c: int, v):
-        if self.packed:
-            return v if c & 1 else 0
-        p = self.p
-        c %= p
-        return tuple(c * a % p for a in v)
+    def smul(self, c: int, v: int) -> int:
+        return self._lanes(c % self.p * v)
 
-    def neg(self, v):
-        if self.packed:
-            return v
-        p = self.p
-        return tuple(-a % p for a in v)
-
-    def encode(self, v) -> int:
-        """Injective integer key (base-p digits); orders vectors canonically."""
-        if self.packed:
-            return v
-        k = 0
-        for a in reversed(v):
-            k = k * self.p + a
-        return k
-
-    def decode(self, k: int):
-        if self.packed:
-            return k
-        out = []
-        for _ in range(self.n):
-            k, r = divmod(k, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def vectors(self) -> Iterator:
-        """All vectors in canonical ascending key order (includes zero)."""
-        if self.packed:
-            yield from range(1 << self.n)
-        else:
-            for k in range(self.p ** self.n):
-                yield self.decode(k)
+    def decode(self, key: int) -> int:
+        """The vector whose coordinates are the base-p digits of key, such
+        as a GF(p^n) element in its ffield encoding."""
+        if self.p == 2:
+            return key
+        p, w = self.p, self.w
+        v = 0
+        for j in range(self.n):
+            key, r = divmod(key, p)
+            v |= r << (j * w)
+        return v
 
     # -- echelon bases --------------------------------------------------------
 
-    def pivot(self, v) -> int:
+    def pivot(self, v: int) -> int:
         """Index of the highest nonzero coordinate, -1 for zero."""
-        if self.packed:
-            return v.bit_length() - 1
-        for i in range(self.n - 1, -1, -1):
-            if v[i]:
-                return i
-        return -1
+        return (v.bit_length() - 1) // self.w
 
-    def reduce(self, v, rows: list) -> object:
-        """Reduce v against rows (each with distinct pivots, descending)."""
-        if self.packed:
+    def reduce(self, v: int, rows: list) -> int:
+        """Reduce v against echelon rows (distinct pivots, descending, pivot
+        coefficient 1)."""
+        if self.p == 2:
             for r in rows:
                 h = r.bit_length() - 1
                 if (v >> h) & 1:
                     v ^= r
             return v
-        p = self.p
-        v = list(v)
+        p, w, lane = self.p, self.w, self._lane
+        room = left = LANE_HEADROOM - 1  # v itself is the first product
         for r in rows:
-            h = self.pivot(r)
-            c = v[h]
+            h = (r.bit_length() - 1) // w * w
+            c = ((v >> h) & lane) % p
             if c:
-                rh = r[h]
-                factor = c * pow(rh, -1, p) % p
-                for i in range(h + 1):
-                    v[i] = (v[i] - factor * r[i]) % p
-        return tuple(v)
+                v += (p - c) * r
+                left -= 1
+                if not left:
+                    v = self._lanes(v)
+                    left = room
+        return v if left == room else self._lanes(v)
 
-    def insert(self, rows: list, v) -> bool:
+    def insert(self, rows: list, v: int) -> bool:
         """Reduce v and insert into the descending-pivot basis; report growth."""
         v = self.reduce(v, rows)
-        h = self.pivot(v)
-        if h < 0:
+        if not v:
             return False
-        if not self.packed:
-            inv = pow(v[h], -1, self.p)
-            v = tuple(c * inv % self.p for c in v)
+        lead = self.component(v, self.pivot(v))
+        if lead != 1:
+            v = self.smul(pow(lead, -1, self.p), v)
+        # distinct pivots: a row with a higher pivot is a larger int
         lo, hi = 0, len(rows)
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.pivot(rows[mid]) > h:
+            if rows[mid] > v:
                 lo = mid + 1
             else:
                 hi = mid
@@ -135,63 +148,49 @@ class VecSpace:
         for v in rows:
             self.insert(basis, v)
         # back-substitute so entries above every pivot vanish
-        for i in range(len(basis) - 1, -1, -1):
-            below = basis[i + 1:]
-            if self.packed:
-                v = basis[i]
-                for r in below:
-                    h = r.bit_length() - 1
-                    if (v >> h) & 1:
-                        v ^= r
-                basis[i] = v
-            else:
-                basis[i] = self.reduce(basis[i], below)
+        for i in range(len(basis) - 2, -1, -1):
+            basis[i] = self.reduce(basis[i], basis[i + 1:])
         return tuple(basis)
 
-    def span_members(self, rows) -> Iterator:
+    def span_members(self, rows) -> Iterator[int]:
         """All nonzero vectors of the span (p^k - 1 of them)."""
         rows = list(rows)
-        k = len(rows)
-        coeffs = [0] * k
-        total = self.p ** k
-        for idx in range(1, total):
+        p = self.p
+        for idx in range(1, p ** len(rows)):
             t = idx
-            v = self.zero()
+            v = 0
             for r in rows:
-                t, c = divmod(t, self.p)
+                t, c = divmod(t, p)
                 if c:
                     v = self.add(v, self.smul(c, r))
             yield v
 
-    def span_min(self, rows) -> int:
-        """Smallest nonzero canonical key in the span."""
-        return min(self.encode(v) for v in self.span_members(rows))
-
     # -- linear maps -----------------------------------------------------------
 
     def map_from_images(self, images: list) -> Callable:
-        """Linear map from basis images; fast apply (chunk tables if p=2)."""
-        if not self.packed:
-            p, n = self.p, self.n
-            cols = [tuple(img) for img in images]
-
-            def apply_odd(v, _cols=cols, _p=p, _n=n):
-                acc = [0] * _n
-                for j, c in enumerate(v):
-                    if c:
-                        col = _cols[j]
-                        for i in range(_n):
-                            acc[i] += c * col[i]
-                return tuple(a % _p for a in acc)
-
-            return apply_odd
+        """Linear map from basis images, applied through chunk tables."""
+        p, w = self.p, self.w
+        per = 1  # coordinates per table: at most 256 digit combinations
+        while p ** (per + 1) <= 256:
+            per += 1
+        if p != 2 and self.n > per * LANE_HEADROOM:
+            raise CapacityError(
+                f"a map on F_{p}^{self.n} sums {-(-self.n // per)} table "
+                f"entries per lane, over LANE_HEADROOM = {LANE_HEADROOM}")
         tables = []
-        for base in range(0, self.n, 8):
-            chunk = images[base:base + 8]
-            tbl = [0] * (1 << len(chunk))
-            for bits in range(1, 1 << len(chunk)):
-                low = bits & -bits
-                tbl[bits] = tbl[bits ^ low] ^ chunk[low.bit_length() - 1]
+        for base in range(0, self.n, per):
+            chunk = images[base:base + per]
+            if p == 2:
+                tbl = [0] * (1 << len(chunk))
+                for bits in range(1, 1 << len(chunk)):
+                    low = bits & -bits
+                    tbl[bits] = tbl[bits ^ low] ^ chunk[low.bit_length() - 1]
+            else:
+                tbl = {0: 0}
+                for i, col in enumerate(chunk):
+                    mults = [self.smul(a, col) for a in range(p)]
+                    tbl = {key | a << (i * w): self.add(val, mults[a])
+                           for key, val in tbl.items() for a in range(p)}
             tables.append(tbl)
         if len(tables) == 1:
             t0 = tables[0]
@@ -200,6 +199,19 @@ class VecSpace:
                 return _t0[v]
 
             return apply1
+        if p != 2:
+            bits = per * w
+
+            def apply_lanes(v, _tables=tables, _bits=bits,
+                            _mask=(1 << bits) - 1, _m=self._m, _s=self._s,
+                            _q=self._q, _p=p):
+                acc = 0
+                for t in _tables:
+                    acc += t[v & _mask]
+                    v >>= _bits
+                return acc - ((acc * _m >> _s) & _q) * _p
+
+            return apply_lanes
         if len(tables) == 2:
             t0, t1 = tables
 
@@ -224,124 +236,94 @@ class VecSpace:
 
         return apply_many
 
-    def matrix_of(self, apply_fn: Callable) -> list:
-        """Basis images of a map given as a callable."""
-        return [apply_fn(self.unit(j)) for j in range(self.n)]
+    def compose(self, outer: list, inner: list) -> list:
+        """Basis images of outer o inner, both given by basis images; with
+        inner = any vectors, their images under outer."""
+        w, lane = self.w, self._lane
+        out = []
+        if self.p == 2:
+            for img in inner:
+                acc = 0
+                j = 0
+                while img:
+                    if img & 1:
+                        acc ^= outer[j]
+                    img >>= 1
+                    j += 1
+                out.append(acc)
+            return out
+        if self.n > LANE_HEADROOM:
+            raise CapacityError(
+                f"a product on F_{self.p}^{self.n} sums {self.n} products "
+                f"per lane, over LANE_HEADROOM = {LANE_HEADROOM}")
+        for img in inner:
+            acc = 0
+            j = 0
+            while img:
+                c = img & lane
+                if c:
+                    acc += c * outer[j]
+                img >>= w
+                j += 1
+            out.append(self._lanes(acc))
+        return out
 
     def kernel(self, images: list) -> tuple:
         """Canonical basis of {x : sum x_j images[j] = 0}."""
-        aug: list[tuple] = []  # (reduced image row, tag row in F_p^n)
-        kernel_rows = []
-        tag_space = self
-        for j in range(self.n):
-            img = images[j]
-            tag = self.unit(j)
-            for rimg, rtag in aug:
-                if self.packed:
-                    h = rimg.bit_length() - 1
-                    if (img >> h) & 1:
-                        img ^= rimg
-                        tag ^= rtag
-                else:
-                    h = self.pivot(rimg)
-                    c = img[h]
-                    if c:
-                        f = c * pow(rimg[h], -1, self.p) % self.p
-                        img = tuple((a - f * b) % self.p for a, b in zip(img, rimg))
-                        tag = tuple((a - f * b) % self.p for a, b in zip(tag, rtag))
-            if self.pivot(img) < 0:
-                kernel_rows.append(tag)
+        # eliminate on [image | tag] rows: the tag (low lanes) records the
+        # combination of units, the image (high lanes) carries the pivots
+        aug = VecSpace(self.p, 2 * self.n)
+        shift = self.n * self.w
+        rows: list = []
+        null = []
+        for j, img in enumerate(images):
+            v = aug.reduce(img << shift | self.unit(j), rows)
+            if v >> shift:
+                aug.insert(rows, v)
             else:
-                aug.append((img, tag))
-                aug.sort(key=lambda t: -self.pivot(t[0]))
-        return tag_space.canon(kernel_rows)
+                null.append(v)
+        return self.canon(null)
 
-    def solve(self, basis_rows: list, v):
+    def solve(self, basis_rows: list, v: int):
         """Coefficients of v in the given (independent) rows, or None."""
-        aug = []
+        k = len(basis_rows)
+        aug = VecSpace(self.p, self.n + k)
+        shift = k * self.w
+        rows: list = []
         for j, r in enumerate(basis_rows):
-            aug.append((r, self.unit_k(len(basis_rows), j)))
-        # gaussian elimination on (row, coeff-tag) pairs
-        red: list[tuple] = []
-        for row, tag in aug:
-            for rr, rt in red:
-                h = self.pivot(rr)
-                c = row[h] if not self.packed else (row >> h) & 1
-                if c:
-                    if self.packed:
-                        row ^= rr
-                        tag = tuple((a + b) % 2 for a, b in zip(tag, rt))
-                    else:
-                        f = c * pow(rr[h], -1, self.p) % self.p
-                        row = tuple((a - f * b) % self.p for a, b in zip(row, rr))
-                        tag = tuple((a - f * b) % self.p for a, b in zip(tag, rt))
-            if self.pivot(row) >= 0:
-                red.append((row, tag))
-                red.sort(key=lambda t: -self.pivot(t[0]))
-        coeffs = [0] * len(basis_rows)
-        for rr, rt in red:
-            h = self.pivot(rr)
-            c = v[h] if not self.packed else (v >> h) & 1
-            if c:
-                f = c * pow(rr[h] if not self.packed else 1, -1, self.p) % self.p
-                if self.packed:
-                    v ^= rr
-                else:
-                    v = tuple((a - f * b) % self.p for a, b in zip(v, rr))
-                for j in range(len(coeffs)):
-                    coeffs[j] = (coeffs[j] + f * rt[j]) % self.p
-        if self.pivot(v) >= 0:
+            aug.insert(rows, r << shift | aug.unit(j))
+        # what is left is [v - sum g_j r_j | -g]
+        rest = aug.reduce(v << shift, rows)
+        if rest >> shift:
             return None
-        return tuple(coeffs)
-
-    @staticmethod
-    def unit_k(k: int, j: int) -> tuple:
-        return tuple(1 if i == j else 0 for i in range(k))
-
-    def dim_check(self, rows) -> int:
-        return len(self.canon(rows))
-
-    def component(self, v, j: int) -> int:
-        return (v >> j) & 1 if self.packed else v[j]
+        return tuple(-aug.component(rest, j) % self.p for j in range(k))
 
     def nullspace(self, rows) -> tuple:
         """Canonical basis of {x : r . x = 0 for all r in rows} where the
         dot product is coordinatewise over F_p."""
-        basis = list(self.canon(rows))
-        pivots = {self.pivot(r): r for r in basis}
+        pivots = {self.pivot(r): r for r in self.canon(rows)}
         out = []
         for j in range(self.n):
             if j in pivots:
                 continue
-            if self.packed:
-                vec = 1 << j
-                for piv, r in pivots.items():
-                    if (r >> j) & 1:
-                        vec |= 1 << piv
-            else:
-                coords = [0] * self.n
-                coords[j] = 1
-                for piv, r in pivots.items():
-                    coords[piv] = (-r[j]) % self.p
-                vec = tuple(coords)
+            vec = self.unit(j)
+            for piv, r in pivots.items():
+                c = self.component(r, j)
+                if c:
+                    vec |= (self.p - c) << (piv * self.w)
             out.append(vec)
         return self.canon(out)
 
 
-def coords_to_vec(sub: VecSpace, coords: tuple):
-    if sub.packed:
-        return sum(1 << j for j, c in enumerate(coords) if c & 1)
-    return tuple(coords)
-
-
-def restrict_map(space: VecSpace, block_rows: list, apply_fn: Callable,
+def restrict_map(space: VecSpace, block_rows: list, images: list,
                  sub: VecSpace) -> list:
-    """Basis images, in block coordinates, of a map restricted to the span
-    of block_rows; raises if the span is not invariant."""
-    images = []
-    for r in block_rows:
-        coords = space.solve(block_rows, apply_fn(r))
+    """Basis images, in block coordinates, of the map with the given basis
+    images restricted to the span of block_rows; raises if the span is not
+    invariant."""
+    out = []
+    for img in space.compose(images, block_rows):
+        coords = space.solve(block_rows, img)
         if coords is None:
             raise DomainError("subspace is not invariant under the map")
-        images.append(coords_to_vec(sub, coords))
-    return images
+        out.append(sub.from_coords(coords))
+    return out

@@ -63,12 +63,12 @@ def spin(module: Module, seed, abort_dim: int | None = None,
 
     `abort_dim`: give up once the dimension would exceed it (sound when
     hunting submodules of that exact dimension).  `abort_below`: give up
-    when a produced vector has a smaller canonical key than the seed
+    when a produced vector is smaller than this one, usually the seed
     (sound for exhaustive scans, where the subspace is also reached from
     its minimal vector).
     """
     space = module.space
-    if space.pivot(seed) < 0:
+    if not seed:
         raise DomainError("spin needs a nonzero seed")
     rows: list = []
     space.insert(rows, seed)
@@ -76,14 +76,13 @@ def spin(module: Module, seed, abort_dim: int | None = None,
     applies = module.apply
     reduce = space.reduce
     insert = space.insert
-    encode = space.encode
     while work:
         v = work.pop()
         for f in applies:
             w = reduce(f(v), rows)
-            if space.pivot(w) < 0:
+            if not w:
                 continue
-            if abort_below is not None and encode(w) < abort_below:
+            if abort_below is not None and w < abort_below:
                 return None
             if abort_dim is not None and len(rows) >= abort_dim:
                 return None
@@ -99,7 +98,7 @@ def _scan_range(module: Module, target_dim: int, lo: int, hi: int):
     decode = space.decode
     for key in range(lo, hi):
         seed = decode(key)
-        rows = spin(module, seed, abort_dim=target_dim, abort_below=key)
+        rows = spin(module, seed, abort_dim=target_dim, abort_below=seed)
         if rows is None or len(rows) != target_dim:
             continue
         if rows in found or rows in rejected:
@@ -172,22 +171,14 @@ def hom_basis(p: int, gens_x: list[list], gens_y: list[list],
     rows = []
     for gx, gy in zip(gens_x, gens_y):
         for j0 in range(dim_x):
-            a = gx[j0]  # image vector of e_{j0} in X coordinates
+            # entry (i0, j0) of T gx - gy T; T[i][j] is coordinate j*dim_y + i
             for i0 in range(dim_y):
                 coeffs = [0] * n
                 for j in range(dim_x):
-                    cj = sx.component(a, j)
-                    if cj:
-                        coeffs[j * dim_y + i0] = (coeffs[j * dim_y + i0] + cj) % p
+                    coeffs[j * dim_y + i0] += sx.component(gx[j0], j)
                 for i in range(dim_y):
-                    bi = sy.component(gy[i], i0)
-                    if bi:
-                        coeffs[j0 * dim_y + i] = (coeffs[j0 * dim_y + i] - bi) % p
-                if any(coeffs):
-                    if big.packed:
-                        rows.append(sum(1 << u for u, c in enumerate(coeffs) if c))
-                    else:
-                        rows.append(tuple(coeffs))
+                    coeffs[j0 * dim_y + i] -= sy.component(gy[i], i0)
+                rows.append(big.from_coords(coeffs))
     return big.nullspace(rows)
 
 
@@ -215,24 +206,7 @@ class ClassifiedGroup:
 
 
 def _mat_mul(space: VecSpace, A: tuple, B: tuple) -> tuple:
-    out = []
-    for j in range(space.n):
-        img = B[j]
-        acc = space.zero()
-        if space.packed:
-            t = img
-            jj = 0
-            while t:
-                if t & 1:
-                    acc ^= A[jj]
-                t >>= 1
-                jj += 1
-        else:
-            for jj, c in enumerate(img):
-                if c:
-                    acc = space.add(acc, space.smul(c, A[jj]))
-        out.append(acc)
-    return tuple(out)
+    return tuple(space.compose(A, B))
 
 
 def _mat_pow(space: VecSpace, A: tuple, e: int, ident: tuple) -> tuple:
@@ -376,27 +350,17 @@ class LevelRealization:
         self.zeta = self.kappa.root_of_unity(aux.e_rel)
         self.space = VecSpace(p, self.dim)
         # field elements x^j are the coordinate basis
-        self._basis_elements = [p ** j if self.dim > 1 else 1
-                                for j in range(self.dim)]
-        if self.dim == 1:
-            self._basis_elements = [1]
-
-    def _vec(self, x: int):
-        return x if self.p == 2 else self.kappa.digits(x)
-
-    def _field(self, v) -> int:
-        return v if self.p == 2 else self.kappa.from_digits(v)
+        self._basis_elements = [p ** j for j in range(self.dim)]
 
     def tau_images(self, i: int) -> list:
         a = self.kappa.pow(self.zeta, i)
-        return [self._vec(self.kappa.mul(a, e)) for e in self._basis_elements]
-
-    def frob_power_images(self, k: int) -> list:
-        """Images of x -> x^(p^k) on the basis."""
-        return [self._vec(self.kappa.frob(e, k)) for e in self._basis_elements]
+        return [self.space.decode(self.kappa.mul(a, e))
+                for e in self._basis_elements]
 
     def v_images(self) -> list:
-        return self.frob_power_images(self.aux.f_k)
+        """Images of x -> x^(p^f_K) on the basis."""
+        return [self.space.decode(self.kappa.frob(e, self.aux.f_k))
+                for e in self._basis_elements]
 
     def level_module(self, i: int) -> Module:
         return Module(self.p, self.dim, [self.tau_images(i), self.v_images()])
@@ -445,7 +409,7 @@ class LevelRealization:
                     for _ in range(ck - 1):
                         term = kappa.add(term, y)
                     acc = kappa.add(acc, term)
-            images.append(self._vec(acc))
+            images.append(self.space.decode(acc))
         return self.space.kernel(images)
 
 
@@ -499,11 +463,9 @@ class _PhysicalClass:
 def _restricted_gens(space: VecSpace, rows: tuple, taus: list, vs: list,
                      p: int) -> list[list]:
     sub = VecSpace(p, len(rows))
-    tau_apply = space.map_from_images(taus)
-    v_apply = space.map_from_images(vs)
     rows_l = list(rows)
-    return [restrict_map(space, rows_l, tau_apply, sub),
-            restrict_map(space, rows_l, v_apply, sub)]
+    return [restrict_map(space, rows_l, taus, sub),
+            restrict_map(space, rows_l, vs, sub)]
 
 
 def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
@@ -684,12 +646,11 @@ def _verify_block(params, aux, real: LevelRealization, cls: _PhysicalClass,
     bspace = VecSpace(p, total_dim)
     tau_images = []
     v_images = []
-    offset = 0
+    shift = 0
     for nd, sgens in local_bases:
-        for j in range(nd):
-            tau_images.append(_embed(bspace, sgens[0][j], offset, nd, p))
-            v_images.append(_embed(bspace, sgens[1][j], offset, nd, p))
-        offset += nd
+        tau_images.extend(img << shift for img in sgens[0])
+        v_images.extend(img << shift for img in sgens[1])
+        shift += nd * bspace.w
     bmod = Module(p, total_dim, [tau_images, v_images])
     subs = enumerate_irreducible_submodules(bmod, ell, parallelism=parallelism)
     if len(subs) != expected_count:
@@ -703,15 +664,6 @@ def _verify_block(params, aux, real: LevelRealization, cls: _PhysicalClass,
         raise InvariantError(
             f"block member classifies as {got.label}, class says {desc.label}")
     return True
-
-
-def _embed(bspace: VecSpace, vec, offset: int, local_dim: int, p: int):
-    if bspace.packed:
-        return vec << offset
-    out = [0] * bspace.n
-    for j in range(local_dim):
-        out[offset + j] = vec[j]
-    return tuple(out)
 
 
 def _sweep_levels(params, aux, real: LevelRealization, classes, descriptors,
@@ -736,9 +688,9 @@ def _sweep_levels(params, aux, real: LevelRealization, classes, descriptors,
                 expected += n_i
                 tally[desc.label] = tally.get(desc.label, 0) + n_i
         found_tally: dict[str, int] = {}
+        taus, vs = real.tau_images(i), real.v_images()
         for rows in subs:
-            sgens = _restricted_gens(real.space, rows, real.tau_images(i),
-                                     real.v_images(), p)
+            sgens = _restricted_gens(real.space, rows, taus, vs, p)
             desc = classify_submodule(p, ell, sgens)
             found_tally[desc.label] = found_tally.get(desc.label, 0) + 1
         if len(subs) != expected or found_tally != tally:

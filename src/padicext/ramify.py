@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .action import AuxFieldData, span_profile
+from .action import AuxFieldData, level_indices, span_profile
 from .census import ExtensionParams, degree_exponent
 from .errors import CapacityError, DomainError
 from .arith import order_pair_count, order_pair_product, divisors
@@ -303,10 +303,15 @@ def audit(params: ExtensionParams, aux: AuxFieldData) -> AuditReport:
     p, ell = params.p, params.ell
     d = degree_exponent(params).exponent
     f_f = aux.f_total
+    # the jump integers are the level indices
+    jumps_over_cap = CapacityError("jump integer enumeration over capacity")
+    jumps = None if aux.e_total > 10 ** 6 else level_indices(aux)
 
     # (a) total of the uniform drops vs d
     try:
-        n_jumps = len(_jump_integers(aux))
+        if jumps is None:
+            raise jumps_over_cap
+        n_jumps = len(jumps)
         uniform_total = n_jumps * f_f
         verdict = "agree" if uniform_total == d else "disagree"
         detail = {"d": d, "uniform_drop_total": uniform_total,
@@ -318,7 +323,9 @@ def audit(params: ExtensionParams, aux: AuxFieldData) -> AuditReport:
     # (b) span profile multiset vs uniform drops
     try:
         prof = span_profile(params, aux)
-        uniform = tuple(sorted(f_f for _ in _jump_integers(aux)))
+        if jumps is None:
+            raise jumps_over_cap
+        uniform = (f_f,) * len(jumps)
         mine = prof.dims_multiset()
         verdict = "agree" if uniform == mine else "disagree"
         detail = {"span_multiset": list(mine), "uniform_multiset": list(uniform),
@@ -372,18 +379,3 @@ def _disc_detail(rep: DiscriminantReport) -> dict:
         "agree": rep.agree,
         "flagged": rep.flagged,
     }
-
-
-def _jump_integers(aux: AuxFieldData) -> list[int]:
-    """Integers prime to p in [1, p e_F/(p-1)); coincides with the level
-    index set."""
-    if aux.e_total > 10 ** 6:
-        raise CapacityError("jump integer enumeration over capacity")
-    bound = aux.level_bound
-    out = []
-    i = 1
-    while Fraction(i) < bound:
-        if i % aux.p != 0:
-            out.append(i)
-        i += 1
-    return out

@@ -30,13 +30,8 @@ def scalar_tower_module(p: int, d: int, mult: int) -> Module:
     for copy in range(mult):
         for j in range(d):
             img_field = ctx.mul(ctx.generator, ctx.p ** j)
-            if p == 2:
-                images.append(img_field << (copy * d))
-            else:
-                digits = ctx.digits(img_field)
-                vec = [0] * (d * mult)
-                vec[copy * d:(copy + 1) * d] = list(digits)
-                images.append(tuple(vec))
+            # the field element's digits, moved to coordinates of this copy
+            images.append(space.decode(img_field) << (copy * d * space.w))
     return Module(p, d * mult, [images])
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicext.action import default_aux_data
+from padicext.action import default_aux_data, level_indices, make_aux_data
 from padicext.census import ExtensionParams
 from padicext.errors import DomainError
 from padicext.ramify import (WildInputs, audit,
@@ -187,3 +187,16 @@ def test_audit_degrades_gracefully_at_huge_parameters():
     # the fixed synthetic exemplar is always present
     synth = rep.item("discriminant_two_routes").detail["synthetic"]
     assert synth["alpha_direct"] == 31 and synth["alpha_closed"] == "39"
+
+
+def test_audit_jump_count_and_cap_message():
+    # the jump integers are the level indices; past e_F = 10^6 the item
+    # is skipped with the enumeration's own reason
+    params = ExtensionParams(2, 3, 1, 1)
+    aux = default_aux_data(params)
+    a = audit(params, aux).item("uniform_drops_vs_dimension")
+    assert a.detail["jump_count"] == len(level_indices(aux)) == 7
+    big = make_aux_data(params, 2 ** 21 - 1, 21)
+    a = audit(params, big).item("uniform_drops_vs_dimension")
+    assert (a.verdict, a.detail) == (
+        "skipped", {"reason": "jump integer enumeration over capacity"})
