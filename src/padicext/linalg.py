@@ -17,7 +17,7 @@ significant).  Subspaces are reduced row echelon bases, pivots descending
 and pivot coefficient 1: a unique hashable key.  Dimensions stay below
 ~100, so O(n^2) row operations are fine; applying a fixed map, the hot
 path of spinning, uses chunk tables (8 bits per XOR table for p = 2, at
-most 256 digit combinations per table for odd p).
+most 256 digit combinations per table for odd p < 256).
 """
 
 from __future__ import annotations
@@ -154,16 +154,11 @@ class VecSpace:
 
     def span_members(self, rows) -> Iterator[int]:
         """All nonzero vectors of the span (p^k - 1 of them)."""
-        rows = list(rows)
-        p = self.p
-        for idx in range(1, p ** len(rows)):
-            t = idx
-            v = 0
-            for r in rows:
-                t, c = divmod(t, p)
-                if c:
-                    v = self.add(v, self.smul(c, r))
-            yield v
+        members = [0]  # in the order of the coefficients' base-p keys
+        for r in rows:
+            multiples = [self.smul(c, r) for c in range(1, self.p)]
+            members += [self.add(m, x) for x in multiples for m in members]
+        return iter(members[1:])
 
     # -- linear maps -----------------------------------------------------------
 
@@ -177,6 +172,8 @@ class VecSpace:
             raise CapacityError(
                 f"a map on F_{p}^{self.n} sums {-(-self.n // per)} table "
                 f"entries per lane, over LANE_HEADROOM = {LANE_HEADROOM}")
+        if p > 256:  # one coordinate's table alone would hold p entries
+            return lambda v: self.compose(images, (v,))[0]
         tables = []
         for base in range(0, self.n, per):
             chunk = images[base:base + per]
@@ -236,9 +233,10 @@ class VecSpace:
 
         return apply_many
 
-    def compose(self, outer: list, inner: list) -> list:
+    def compose(self, outer: list, inner) -> list:
         """Basis images of outer o inner, both given by basis images; with
-        inner = any vectors, their images under outer."""
+        inner = any vectors, their images under outer (for a vector of
+        coefficients, the combination of the vectors in outer)."""
         w, lane = self.w, self._lane
         out = []
         if self.p == 2:
@@ -252,10 +250,10 @@ class VecSpace:
                     j += 1
                 out.append(acc)
             return out
-        if self.n > LANE_HEADROOM:
+        if len(outer) > LANE_HEADROOM:
             raise CapacityError(
-                f"a product on F_{self.p}^{self.n} sums {self.n} products "
-                f"per lane, over LANE_HEADROOM = {LANE_HEADROOM}")
+                f"a product on F_{self.p}^{self.n} sums {len(outer)} "
+                f"products per lane, over LANE_HEADROOM = {LANE_HEADROOM}")
         for img in inner:
             acc = 0
             j = 0
