@@ -7,7 +7,9 @@ and arithmetic uses carry-less integer ops; odd characteristic works on
 digit tuples.  Construction is canonical: the modulus is the first monic
 irreducible of degree m in ascending integer encoding, the generator the
 least element of full multiplicative order, so two contexts built from
-equal (p, m) are identical.
+equal (p, m) are identical.  Candidates are tested with Ben-Or's
+distinct-degree test, which rejects a reducible polynomial at its least
+factor degree, usually after one Frobenius step.
 
 Discrete logs base that generator come from baby-step giant-step inside
 the cyclic subgroup generated by the argument, and are refused (never
@@ -89,27 +91,16 @@ def _poly_pow_p(a: list[int], f: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: f of degree m is irreducible over F_p."""
-    m = len(f) - 1
-    if m == 1:
-        return True
-    x = [0, 1]
-    t = list(x)
-    for _ in range(m):
+    """Ben-Or test: monic f of degree m is irreducible over F_p iff
+    gcd(f, x^(p^i) - x) = 1 for i = 1..m//2.  A reducible f has a factor
+    of degree at most m//2 and is refused at the least such degree, so
+    most candidates leave after one Frobenius step."""
+    t = [0, 1]
+    for _ in range((len(f) - 1) // 2):
         t = _poly_pow_p(t, f, p)
-    diff = [(ti - xi) % p for ti, xi in
-            zip(t + [0] * len(x), x + [0] * len(t))]
-    if _poly_trim(diff):
-        return False
-    for q, _ in factorize(m):
-        t = list(x)
-        for _ in range(m // q):
-            t = _poly_pow_p(t, f, p)
-        diff = [(ti - xi) % p for ti, xi in
-                zip(t + [0] * len(x), x + [0] * len(t))]
-        if not _poly_trim(list(diff)):
-            return False
-        if len(_poly_gcd(diff, f, p)) - 1 != 0:
+        diff = t + [0] * (2 - len(t))  # t - x
+        diff[1] = (diff[1] - 1) % p
+        if len(_poly_gcd(f, diff, p)) != 1:
             return False
     return True
 
@@ -338,10 +329,6 @@ class FieldCtx:
                 return (i * steps + j) % d * (self.mult_order // d)
             y = self.mul(y, giant)
         raise InvariantError(f"{x} of order {d} has no discrete log")
-
-    def mult_matrix(self, a: int) -> list[int]:
-        """Images of the power basis under multiplication by a (encoded)."""
-        return [self.mul(a, self.p ** j) for j in range(self.m)]
 
     def root_of_unity(self, n: int) -> int:
         """Canonical primitive n-th root: generator^((p^m - 1)/n)."""

@@ -304,13 +304,17 @@ def _noncommuting_pair(gens, ctx: FieldCtx):
 def regular_rep(ctx: FieldCtx, a: int) -> list[int]:
     """Multiplication-by-a as basis images over F_p (linalg vectors)."""
     space = VecSpace(ctx.p, ctx.m)
-    return [space.decode(img) for img in ctx.mult_matrix(a)]
+    return [space.decode(ctx.mul(a, ctx.p ** j)) for j in range(ctx.m)]
 
 
 def frobenius_rep(ctx: FieldCtx, k: int = 1) -> list[int]:
-    """x -> x^(p^k) as basis images over F_p (linalg vectors)."""
+    """x -> x^(p^k) as basis images over F_p: (x -> x^p)^(k mod m)."""
     space = VecSpace(ctx.p, ctx.m)
-    return [space.decode(ctx.frob(ctx.p ** j, k)) for j in range(ctx.m)]
+    step = [space.decode(ctx.frob(ctx.p ** j)) for j in range(ctx.m)]
+    out = [space.unit(j) for j in range(ctx.m)]
+    for _ in range(k % ctx.m):
+        out = space.compose(step, out)
+    return out
 
 
 def cyclic_prime_field_model(ctx: FieldCtx, alpha: int, beta: int) -> list[list]:

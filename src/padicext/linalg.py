@@ -126,8 +126,13 @@ class VecSpace:
     def insert(self, rows: list, v: int) -> bool:
         """Reduce v and insert into the descending-pivot basis; report growth."""
         v = self.reduce(v, rows)
-        if not v:
-            return False
+        if v:
+            self.place(rows, v)
+        return v != 0
+
+    def place(self, rows: list, v: int) -> None:
+        """Insert v, nonzero and already reduced against rows, into the
+        descending-pivot basis, scaled to pivot coefficient 1."""
         lead = self.component(v, self.pivot(v))
         if lead != 1:
             v = self.smul(pow(lead, -1, self.p), v)
@@ -140,7 +145,6 @@ class VecSpace:
             else:
                 hi = mid
         rows.insert(lo, v)
-        return True
 
     def canon(self, rows: Iterable) -> tuple:
         """Unique reduced echelon key for the span of rows."""
@@ -277,7 +281,7 @@ class VecSpace:
         for j, img in enumerate(images):
             v = aug.reduce(img << shift | self.unit(j), rows)
             if v >> shift:
-                aug.insert(rows, v)
+                aug.place(rows, v)
             else:
                 null.append(v)
         return self.canon(null)

@@ -23,7 +23,8 @@ from .census import (CensusEntry, CensusReport, ExtensionParams,
                      census_by_group, cyclic_label, nonabelian_label)
 from .errors import CapacityError, DomainError, InvariantError
 from .ffield import FieldCtx, make_field
-from .groups import beta_is_power_residue, nonsplit_index
+from .groups import (beta_is_power_residue, frobenius_rep, nonsplit_index,
+                     regular_rep)
 from .linalg import VecSpace, restrict_map
 
 EXHAUSTIVE_CAP = 1 << 24
@@ -71,11 +72,11 @@ def spin(module: Module, seed, abort_dim: int | None = None,
     if not seed:
         raise DomainError("spin needs a nonzero seed")
     rows: list = []
-    space.insert(rows, seed)
+    space.place(rows, seed)
     work = [seed]
     applies = module.apply
     reduce = space.reduce
-    insert = space.insert
+    place = space.place
     while work:
         v = work.pop()
         for f in applies:
@@ -86,7 +87,7 @@ def spin(module: Module, seed, abort_dim: int | None = None,
                 return None
             if abort_dim is not None and len(rows) >= abort_dim:
                 return None
-            insert(rows, w)
+            place(rows, w)
             work.append(w)
     return space.canon(rows)
 
@@ -95,17 +96,25 @@ def _scan_range(module: Module, target_dim: int, lo: int, hi: int):
     space = module.space
     found: set = set()
     rejected: set = set()
-    decode = space.decode
-    for key in range(lo, hi):
-        seed = decode(key)
+    # seeds in base-p key order: add 1, carry each lane that reached p
+    # (for p = 2, w = 1 and the int addition carries by itself)
+    p, w = space.p, space.w
+    lane, carry = (1 << w) - 1, (1 << w) - p
+    seed = space.decode(lo) - 1  # the first step lands on decode(lo)
+    for _ in range(lo, hi):
+        seed += 1
+        j = 0
+        while (seed >> j) & lane == p:
+            seed += carry << j
+            j += w
         rows = spin(module, seed, abort_dim=target_dim, abort_below=seed)
         if rows is None or len(rows) != target_dim:
             continue
         if rows in found or rows in rejected:
             continue
         ok = True
-        for w in space.span_members(rows):
-            sub = spin(module, w, abort_dim=target_dim)
+        for member in space.span_members(rows):
+            sub = spin(module, member, abort_dim=target_dim)
             if sub is None or len(sub) != target_dim:
                 ok = False
                 break
@@ -349,18 +358,19 @@ class LevelRealization:
         self.kappa: FieldCtx = make_field(p, self.dim, ceiling=field_ceiling)
         self.zeta = self.kappa.root_of_unity(aux.e_rel)
         self.space = VecSpace(p, self.dim)
-        # field elements x^j are the coordinate basis
-        self._basis_elements = [p ** j for j in range(self.dim)]
+        # v = x -> x^(p^f_K) on the coordinate basis x^j, built once
+        self._v = frobenius_rep(self.kappa, aux.f_k)
+        self._tau: dict[int, list] = {}
 
     def tau_images(self, i: int) -> list:
-        a = self.kappa.pow(self.zeta, i)
-        return [self.space.decode(self.kappa.mul(a, e))
-                for e in self._basis_elements]
+        """Images of multiplication by zeta^i on the basis (a fresh list)."""
+        if i not in self._tau:
+            self._tau[i] = regular_rep(self.kappa, self.kappa.pow(self.zeta, i))
+        return list(self._tau[i])
 
     def v_images(self) -> list:
-        """Images of x -> x^(p^f_K) on the basis."""
-        return [self.space.decode(self.kappa.frob(e, self.aux.f_k))
-                for e in self._basis_elements]
+        """Images of x -> x^(p^f_K) on the basis (a fresh list)."""
+        return list(self._v)
 
     def level_module(self, i: int) -> Module:
         return Module(self.p, self.dim, [self.tau_images(i), self.v_images()])
@@ -394,23 +404,18 @@ class LevelRealization:
 
     def beta_kernel(self, i: int, s: int, m: int, orbit: tuple[int, ...]) -> tuple:
         """Canonical basis of ker m_B(v^s) inside level i (as ambient rows)."""
-        coeffs = self.beta_min_poly(m, orbit)
-        kappa = self.kappa
-        step = self.aux.f_k * s
-        images = []
-        for e in self._basis_elements:
-            acc = 0
-            y = e  # (v^s)^k applied to e, k advancing with the loop
-            for k, ck in enumerate(coeffs):
-                if k:
-                    y = kappa.frob(y, step)
-                if ck:
-                    term = y
-                    for _ in range(ck - 1):
-                        term = kappa.add(term, y)
-                    acc = kappa.add(acc, term)
-            images.append(self.space.decode(acc))
-        return self.space.kernel(images)
+        space = self.space
+        vs = power = [space.unit(j) for j in range(self.dim)]
+        for _ in range(s):
+            vs = space.compose(self._v, vs)
+        images = [0] * self.dim  # m_B(v^s), power running through (v^s)^k
+        for k, ck in enumerate(self.beta_min_poly(m, orbit)):
+            if k:
+                power = space.compose(vs, power)
+            if ck:
+                images = [space.add(a, space.smul(ck, b))
+                          for a, b in zip(images, power)]
+        return space.kernel(images)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 from padicext.arith import divisors, euler_phi
 from padicext.errors import CapacityError, DomainError
-from padicext.ffield import DLOG_CAP, FieldCtx, make_field
+from padicext.ffield import (DLOG_CAP, FieldCtx, _is_irreducible, _poly_gcd,
+                             _poly_pow_p, _poly_trim, make_field)
 
 GRID = [(2, 2), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 2), (5, 3),
         (7, 2), (11, 2), (13, 2)]
@@ -16,6 +17,16 @@ def test_canonical_moduli():
     assert make_field(2, 2).modulus == (1, 1, 1)      # x^2+x+1
     assert make_field(3, 1).modulus == (0, 1)         # prime field convention
     assert make_field(2, 3).modulus == (1, 1, 0, 1)   # x^3+x+1
+    # recorded while the modulus search still used the Rabin test
+    f38 = make_field(3, 8)
+    assert f38.modulus == (2, 0, 1) + (0,) * 5 + (1,)          # x^8+x^2+2
+    assert f38.generator == 38
+    f316 = make_field(3, 16)
+    assert f316.modulus == (1, 0, 1, 1) + (0,) * 12 + (1,)     # x^16+x^3+x^2+1
+    assert f316.generator == 4
+    f524 = make_field(5, 24, ceiling=5 ** 24)
+    assert f524.modulus == (1, 4) + (0, 1) + (0,) * 20 + (1,)  # x^24+x^3+4x+1
+    assert f524.generator == 6
 
 
 def test_generator_of_f9_has_order_eight():
@@ -153,3 +164,80 @@ def test_dlog_refuses_exactly_the_orders_above_2_32():
     assert big.pow(big.generator, big.dlog(seven)) == seven
     with pytest.raises(DomainError):
         ctx.dlog(0)
+
+
+# ---------------------------------------------------------------------------
+# irreducibility: Ben-Or against the Rabin test and against sympy
+
+def _rabin_is_irreducible(f: list[int], p: int) -> bool:
+    """Reference: Rabin's test, which runs all m Frobenius steps, then one
+    gcd per prime divisor q of m with x^(p^(m/q)) - x."""
+    from padicext.arith import factorize
+
+    def minus_x(t):
+        diff = t + [0] * (2 - len(t))
+        diff[1] = (diff[1] - 1) % p
+        return diff
+
+    m = len(f) - 1
+    if m == 1:
+        return True
+    t = [0, 1]
+    for _ in range(m):
+        t = _poly_pow_p(t, f, p)
+    if _poly_trim(minus_x(t)):
+        return False
+    for q, _ in factorize(m):
+        t = [0, 1]
+        for _ in range(m // q):
+            t = _poly_pow_p(t, f, p)
+        diff = minus_x(t)
+        if not _poly_trim(list(diff)):
+            return False
+        if len(_poly_gcd(diff, f, p)) - 1 != 0:
+            return False
+    return True
+
+
+def _monic_polys(p: int, deg: int):
+    for k in range(p ** deg):
+        coeffs = []
+        for _ in range(deg):
+            k, r = divmod(k, p)
+            coeffs.append(r)
+        yield coeffs + [1]
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 8), (3, 4), (5, 3)])
+def test_ben_or_matches_rabin_on_every_small_monic(p, max_deg):
+    counts = {}
+    for deg in range(1, max_deg + 1):
+        counts[deg] = 0
+        for f in _monic_polys(p, deg):
+            got = _is_irreducible(f, p)
+            assert got == _rabin_is_irreducible(f, p), (p, f)
+            counts[deg] += got
+        # Gauss: sum over d | n of d * (monic irreducibles of degree d) = p^n
+        assert sum(d * counts[d] for d in divisors(deg)) == p ** deg
+
+
+def test_ben_or_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(20261018)
+    cases = [(5, list(make_field(5, 24, ceiling=5 ** 24).modulus)),
+             (3, list(make_field(3, 16).modulus))]
+    for p in (2, 3, 5, 7, 11):
+        for deg in range(2, 17):
+            for _ in range(6):
+                cases.append((p, [rng.randrange(p) for _ in range(deg)] + [1]))
+    # reducible with no linear factor: squares and a product of irreducibles
+    cases += [(3, [1, 0, 2, 0, 1]),           # (x^2+1)^2 over F_3
+              (2, [1, 0, 1, 0, 1]),           # (x^2+x+1)^2 over F_2
+              (2, [1, 1, 1, 1, 1, 1, 1])]     # (x^3+x+1)(x^3+x^2+1) over F_2
+    seen_irreducible = 0
+    for p, f in cases:
+        want = sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
+        assert _is_irreducible(f, p) == want, (p, f)
+        seen_irreducible += want
+    assert seen_irreducible >= 20

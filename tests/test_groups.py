@@ -8,9 +8,9 @@ from padicext.census import ExtensionParams, census_by_group
 from padicext.errors import CapacityError, DomainError
 from padicext.ffield import make_field
 from padicext.groups import (MonomialMatrix, catalog, closure_elements,
-                             cyclic_prime_field_model, generator_matrices,
-                             group_closure_order, nonabelian_prime_field_model,
-                             split_class)
+                             cyclic_prime_field_model, frobenius_rep,
+                             generator_matrices, group_closure_order,
+                             nonabelian_prime_field_model, split_class)
 from padicext.linalg import VecSpace
 from padicext.oracle import classify_submodule
 
@@ -259,3 +259,12 @@ def test_closure_refuses_a_discrete_log_beyond_its_cap():
     v = MonomialMatrix(2, 1, (x, ctx.inv(x)))
     with pytest.raises(CapacityError, match="baby steps"):
         closure_elements([v], ctx)
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (5, 3), (7, 1)])
+def test_frobenius_rep_matches_elementwise_frob(p, m):
+    ctx = make_field(p, m)
+    space = VecSpace(p, m)
+    for k in range(2 * m + 2):
+        want = [space.decode(ctx.frob(p ** j, k)) for j in range(m)]
+        assert frobenius_rep(ctx, k) == want, k

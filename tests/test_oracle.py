@@ -2,7 +2,9 @@
 
 import pytest
 
-from padicext.action import default_aux_data, make_aux_data
+from padicext import oracle as oracle_module
+from padicext.action import (constituents, default_aux_data, level_indices,
+                             make_aux_data, residue_orbits)
 from padicext.census import ExtensionParams
 from padicext.errors import CapacityError, DomainError
 from padicext.ffield import make_field
@@ -85,6 +87,24 @@ def test_enumerate_deterministic_under_parallelism():
     base = enumerate_irreducible_submodules(mod, 3, parallelism=1)
     assert enumerate_irreducible_submodules(mod, 3, parallelism=4) == base
     assert enumerate_irreducible_submodules(mod, 3, parallelism=7) == base
+
+
+@pytest.mark.parametrize("p,dim,lo,hi", [(3, 4, 1, 81), (3, 4, 8, 27),
+                                          (5, 3, 24, 101), (2, 6, 5, 64),
+                                          (7, 2, 48, 49)])
+def test_scan_steps_seeds_in_key_order(monkeypatch, p, dim, lo, hi):
+    mod = trivial_module(p, dim)
+    seeds = []
+    real_spin = oracle_module.spin
+
+    def recording_spin(module, seed, abort_dim=None, abort_below=None):
+        if abort_below is not None:
+            seeds.append(seed)
+        return real_spin(module, seed, abort_dim, abort_below)
+
+    monkeypatch.setattr(oracle_module, "spin", recording_spin)
+    oracle_module._scan_range(mod, 1, lo, hi)
+    assert seeds == [mod.space.decode(k) for k in range(lo, hi)]
 
 
 def test_enumerate_capacity_error_mentions_fallback():
@@ -195,3 +215,80 @@ def test_oracle_disagreement_under_override_is_data():
     assert not oc.matches_closed_form
     assert oc.report.total == 14
     assert {e.label: e.count for e in oc.report.by_group} == {"NA(7,split)": 14}
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius matrix against field-side references
+
+def _reference_tau_images(real, i):
+    kappa = real.kappa
+    a = kappa.pow(real.zeta, i)
+    return [real.space.decode(kappa.mul(a, kappa.p ** j))
+            for j in range(real.dim)]
+
+
+def _reference_v_images(real):
+    """x -> x^(p^f_K) by one kappa.frob per basis element x^j."""
+    kappa = real.kappa
+    return [real.space.decode(kappa.frob(kappa.p ** j, real.aux.f_k))
+            for j in range(real.dim)]
+
+
+def _reference_beta_kernel(real, s, m, orbit):
+    """ker m_B(v^s) with m_B evaluated element by element in the field."""
+    kappa = real.kappa
+    coeffs = real.beta_min_poly(m, orbit)
+    images = []
+    for j in range(real.dim):
+        acc = 0
+        y = kappa.p ** j  # (v^s)^k applied to x^j
+        for k, ck in enumerate(coeffs):
+            if k:
+                y = kappa.frob(y, real.aux.f_k * s)
+            for _ in range(ck):
+                acc = kappa.add(acc, y)
+        images.append(real.space.decode(acc))
+    return real.space.kernel(images)
+
+
+def _beta_kernel_args(real):
+    """Every (s, modulus, orbit) oracle_census asks beta_kernel for, at any
+    level (the kernel does not depend on the level)."""
+    p = real.p
+    out = set()
+    for i in level_indices(real.aux):
+        for cons in constituents(i, real.aux):
+            m = cons.beta_modulus
+            orbit = next(o for o in residue_orbits(m, p % m if m > 1 else 0)
+                         if o[0] == cons.beta_exp)
+            out.add((cons.s, m, orbit))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("point", [(5, 2, 1, 1), (3, 2, 1, 2), (3, 2, 2, 1)])
+def test_frobenius_matrix_matches_field_side_reference(point):
+    params = ExtensionParams(*point)
+    real = LevelRealization(params, default_aux_data(params))
+    assert real.v_images() == _reference_v_images(real)
+    for i in level_indices(real.aux):
+        assert real.tau_images(i) == _reference_tau_images(real, i)
+    args = _beta_kernel_args(real)
+    assert args
+    i = level_indices(real.aux)[0]
+    for s, m, orbit in args:
+        # the oracle's s, and powers of v it does not ask for
+        for s_any in {s, 1, 3}:
+            assert (real.beta_kernel(i, s_any, m, orbit)
+                    == _reference_beta_kernel(real, s_any, m, orbit)), (s_any, m)
+
+
+def test_returned_image_lists_are_fresh():
+    params = ExtensionParams(3, 2, 1, 2)
+    real = LevelRealization(params, default_aux_data(params))
+    taus, vs = real.tau_images(1), real.v_images()
+    taus[0] ^= 1
+    taus.append(0)
+    vs.extend(x << 1 for x in list(vs))
+    vs[0] = 0
+    assert real.tau_images(1) == _reference_tau_images(real, 1)
+    assert real.v_images() == _reference_v_images(real)
