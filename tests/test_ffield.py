@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from padicext.arith import divisors, euler_phi
+from padicext.arith import divisors, euler_phi, factorize
 from padicext.errors import CapacityError, DomainError
 from padicext.ffield import (DLOG_CAP, FieldCtx, _is_irreducible, _poly_gcd,
                              _poly_pow_p, _poly_trim, make_field)
@@ -172,8 +172,6 @@ def test_dlog_refuses_exactly_the_orders_above_2_32():
 def _rabin_is_irreducible(f: list[int], p: int) -> bool:
     """Reference: Rabin's test, which runs all m Frobenius steps, then one
     gcd per prime divisor q of m with x^(p^(m/q)) - x."""
-    from padicext.arith import factorize
-
     def minus_x(t):
         diff = t + [0] * (2 - len(t))
         diff[1] = (diff[1] - 1) % p
