@@ -14,15 +14,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import DomainError, InvariantError
+from .errors import CapacityError, DomainError, InvariantError
 
 Factorization = tuple[tuple[int, int], ...]
 
-FACTOR_INPUT_LIMIT = 1 << 96
-
-# Strong-pseudoprime witnesses: proven complete for n < 3.317e24, which
-# covers every value this artifact actually factors (p^m - 1 with p^m
-# below the configured field ceilings).
+# Strong-pseudoprime witnesses.  The first twelve (2..37) are proven
+# complete below PRIMALITY_BOUND, the least strong pseudoprime to all of
+# them (Sorenson-Webster, Math. Comp. 2017); the rest extend no proof, so
+# is_prime and factorize refuse n >= PRIMALITY_BOUND.  This
+# covers every value this artifact actually factors (p^m - 1 with p^m below
+# the configured field ceilings).
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -33,8 +35,21 @@ _WHEEL = (2, 4, 2, 4, 6, 2, 6, 4, 2, 4, 6, 6, 2, 6, 4, 2, 6, 4, 6, 8, 4, 2, 4,
           10, 2, 10)
 
 
+def _check_primality_bound(n: int) -> None:
+    if n >= PRIMALITY_BOUND:
+        raise CapacityError(
+            f"{n} is at or above {PRIMALITY_BOUND}, where the fixed "
+            f"Miller-Rabin witnesses stop being proven")
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic strong-pseudoprime test (no randomness)."""
+    """Deterministic strong-pseudoprime test (no randomness); refuses n at
+    or above PRIMALITY_BOUND with CapacityError."""
+    _check_primality_bound(n)
+    return _is_prime(n)
+
+
+def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -93,7 +108,7 @@ _TRIAL_BOUND = 1 << 20
 
 def _factor_into(n: int, out: dict[int, int]) -> None:
     while n > 1:
-        if is_prime(n):
+        if _is_prime(n):
             out[n] = out.get(n, 0) + 1
             return
         d = _brent_rho(n)
@@ -103,15 +118,17 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> Factorization:
-    """Factor ``1 <= n <= 2**96`` into (prime, exponent) pairs, ascending.
+    """Factor ``1 <= n < PRIMALITY_BOUND`` into (prime, exponent) pairs,
+    ascending.
 
     Wheel trial division up to min(sqrt, 2^20), then deterministic Brent
-    rho on any remaining cofactor.  Raises DomainError on n < 1.
+    rho on any remaining cofactor.  Raises DomainError on n < 1 and
+    CapacityError from PRIMALITY_BOUND on, where primality of a cofactor
+    is no longer proven.
     """
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
-    if n > FACTOR_INPUT_LIMIT:
-        raise DomainError(f"factorize input exceeds 2**96: {n}")
+    _check_primality_bound(n)
     n0 = n
     found: dict[int, int] = {}
     for p in (2, 3, 5, 7):
@@ -126,7 +143,7 @@ def factorize(n: int) -> Factorization:
                 e += 1
                 n //= d
             found[d] = e
-            if n > 1 and is_prime(n):
+            if n > 1 and _is_prime(n):
                 found[n] = found.get(n, 0) + 1
                 n = 1
         d += _WHEEL[i]

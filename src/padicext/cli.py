@@ -432,8 +432,9 @@ def _add_common(sub: argparse.ArgumentParser, need_fixture: bool = False) -> Non
                      action="store_true",
                      help="evaluate formulas as written even when p = ell")
     sub.add_argument("--seed-parallelism", dest="seed_parallelism", type=int,
-                     default=1,
-                     help="worker count for seed scans; never changes output")
+                     default=1, metavar="N",
+                     help="worker processes for seed scans, capped at the "
+                          "usable CPUs; output is byte-identical for any N")
     sub.add_argument("--level-cap", dest="level_cap", type=int, default=0,
                      help="exhaustively sweep whole levels up to this many "
                           "vectors (0 = off)")

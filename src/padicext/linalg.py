@@ -151,7 +151,11 @@ class VecSpace:
         basis: list = []
         for v in rows:
             self.insert(basis, v)
-        # back-substitute so entries above every pivot vanish
+        return self.back_substitute(basis)
+
+    def back_substitute(self, basis: list) -> tuple:
+        """The canonical key of a descending-pivot echelon basis with unit
+        pivots: clears the entries above every pivot, in place."""
         for i in range(len(basis) - 2, -1, -1):
             basis[i] = self.reduce(basis[i], basis[i + 1:])
         return tuple(basis)

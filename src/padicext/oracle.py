@@ -9,11 +9,15 @@ exhaustively, iso-grouped by explicit equivariant-map solving (never by
 the closed-form invariants they are meant to check), assembled into
 cross-level isotypic blocks, counted by the subspace law, and classified
 by matrix-group closure of the restricted action.
+
+With parallelism N > 1, a seed scan of at least PARALLEL_MIN_SEEDS seeds
+runs in min(N, usable CPUs) worker processes; the result, and so every
+output byte, is the same for any N.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 from .action import (AuxFieldData, constituents, default_aux_data,
@@ -36,6 +40,10 @@ DEFAULT_BLOCK_CAP = 1 << 18
 # stays below 3.317e24, where arith.is_prime's fixed witnesses are proven
 ORACLE_FIELD_CEILING = 1 << 64
 CLASSIFY_CAP = 10 ** 5
+PARALLEL_MIN_SEEDS = 4096  # smaller scans stay in the calling process
+# contiguous seed ranges per worker: the work per seed is uneven across
+# [1, p^dim), so one range each leaves a worker idle at the end
+SCAN_RANGES_PER_WORKER = 16
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +97,7 @@ def spin(module: Module, seed, abort_dim: int | None = None,
                 return None
             place(rows, w)
             work.append(w)
-    return space.canon(rows)
+    return space.back_substitute(rows)
 
 
 def _scan_range(module: Module, target_dim: int, lo: int, hi: int):
@@ -125,30 +133,56 @@ def _scan_range(module: Module, target_dim: int, lo: int, hi: int):
     return found, rejected
 
 
+def _scan_task(p: int, dim: int, generator_images: list[list],
+               target_dim: int, lo: int, hi: int) -> set:
+    """One worker's seed range.  A Module holds closures, which do not
+    pickle, so the worker rebuilds it from its generator images."""
+    found, _ = _scan_range(Module(p, dim, generator_images), target_dim, lo, hi)
+    return found
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scan_plan(total: int, parallelism: int) -> tuple[int, list]:
+    """(worker processes, contiguous seed ranges covering [1, total)): the
+    pool size is min(parallelism, number of ranges, usable CPUs)."""
+    workers = min(parallelism, _usable_cpus())
+    chunk = -(-(total - 1) // (workers * SCAN_RANGES_PER_WORKER))
+    ranges = [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
+    return min(workers, len(ranges)), ranges
+
+
 def enumerate_irreducible_submodules(module: Module, target_dim: int,
                                      cap: int = EXHAUSTIVE_CAP,
                                      parallelism: int = 1) -> tuple:
     """All irreducible submodules of the exact target dimension, by
-    exhaustive seed scan; deterministic and independent of parallelism."""
+    exhaustive seed scan; deterministic and independent of parallelism
+    (abort_below makes each subspace's verdict independent of how the
+    seeds are split)."""
     total = module.size()
     if total > cap:
         raise CapacityError(
             f"exhaustive enumeration needs p^dim <= {cap}; restrict to one "
             f"level or one isotypic block instead")
-    if parallelism <= 1 or total < 4096:
+    workers = 1
+    if parallelism > 1 and total >= PARALLEL_MIN_SEEDS:
+        workers, ranges = _scan_plan(total, parallelism)
+    if workers == 1:
         found, _ = _scan_range(module, target_dim, 1, total)
     else:
-        chunk = (total - 1) // parallelism + 1
-        ranges = [(1 + i * chunk, min(total, 1 + (i + 1) * chunk))
-                  for i in range(parallelism)]
-        ranges = [(lo, hi) for lo, hi in ranges if lo < hi]
+        # imported here: serial callers do not pay its memory
+        from concurrent.futures import ProcessPoolExecutor
+        args = (module.p, module.dim, module.generator_images, target_dim)
         found = set()
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [pool.submit(_scan_range, module, target_dim, lo, hi)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_scan_task, *args, lo, hi)
                        for lo, hi in ranges]
             for fut in futures:
-                part_found, _ = fut.result()
-                found |= part_found
+                found |= fut.result()
     return tuple(sorted(found))
 
 

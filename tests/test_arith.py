@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicext.arith import (divisors, euler_phi, factorize, is_prime,
-                            multiplicative_order, order_pair_count,
+from padicext.arith import (PRIMALITY_BOUND, divisors, euler_phi, factorize,
+                            is_prime, multiplicative_order, order_pair_count,
                             order_pair_product, split_fraction, valuation)
-from padicext.errors import DomainError
+from padicext.errors import CapacityError, DomainError
 
 
 def brute_pair_count(a: int, b: int) -> int:
@@ -64,6 +64,40 @@ def test_primes_are_detected():
         assert is_prime(p)
     for n in (1, 4, 341, 561, 1024, 8191 * 8191):
         assert not is_prime(n)
+
+
+def test_primality_bound_is_refused_not_guessed():
+    # the bound itself is the least strong pseudoprime to every base 2..37
+    assert PRIMALITY_BOUND == 3_317_044_064_679_887_385_961_981
+    below = PRIMALITY_BOUND - 1
+    assert not is_prime(below)
+    assert factorize(below) == ((2, 2), (3, 4), (5, 1), (127, 1),
+                                (18778597, 1), (858557454841, 1))
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 1, 1 << 96, 1 << 200):
+        with pytest.raises(CapacityError):
+            is_prime(n)
+        with pytest.raises(CapacityError):
+            factorize(n)
+
+
+def test_is_prime_and_factorize_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    # strong pseudoprimes to growing prefixes of the witness list
+    pseudo = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461]
+    samples = pseudo + [rng.randrange(2, 1 << k) for k in (16, 32, 64, 81)
+                        for _ in range(200)]
+    samples += [PRIMALITY_BOUND - k for k in range(1, 40)]
+    for n in samples:
+        assert is_prime(n) == sympy.isprime(n), n
+    # semiprimes with two ~32-bit factors take the rho path
+    semiprimes = [sympy.nextprime(rng.randrange(1 << 30, 1 << 33))
+                  * sympy.nextprime(rng.randrange(1 << 30, 1 << 33))
+                  for _ in range(10)]
+    for n in samples[:400] + semiprimes:
+        assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
 
 
 def test_order_pair_count_examples():

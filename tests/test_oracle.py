@@ -1,12 +1,15 @@
 """Spinning machinery and the brute-force census oracle."""
 
+import pickle
+import random
+
 import pytest
 
 from padicext import oracle as oracle_module
 from padicext.action import (constituents, default_aux_data, level_indices,
                              make_aux_data, residue_orbits)
 from padicext.census import ExtensionParams
-from padicext.errors import CapacityError, DomainError
+from padicext.errors import CapacityError, DomainError, InvariantError
 from padicext.ffield import make_field
 from padicext.groups import (cyclic_prime_field_model,
                              nonabelian_prime_field_model)
@@ -87,6 +90,64 @@ def test_enumerate_deterministic_under_parallelism():
     base = enumerate_irreducible_submodules(mod, 3, parallelism=1)
     assert enumerate_irreducible_submodules(mod, 3, parallelism=4) == base
     assert enumerate_irreducible_submodules(mod, 3, parallelism=7) == base
+
+
+@pytest.mark.parametrize("p,d,mult", [(2, 3, 4), (3, 2, 4)])
+def test_process_pool_scan_matches_serial(p, d, mult):
+    # 4096 and 6561 seeds: at or above the cut-off for worker processes
+    mod = scalar_tower_module(p, d, mult)
+    assert mod.size() >= oracle_module.PARALLEL_MIN_SEEDS
+    base = enumerate_irreducible_submodules(mod, d, parallelism=1)
+    assert len(base) == subspace_count_law(d, mult, p)
+    for n in (2, 3):
+        assert enumerate_irreducible_submodules(mod, d, parallelism=n) == base
+
+
+def test_scan_plan_caps_workers_at_usable_cpus(monkeypatch):
+    # only the plan is computed here: no pool is started
+    assert oracle_module._usable_cpus() >= 1
+    for cpus, parallelism, total, workers in (
+            (2, 8, 1 << 21, 2), (2, 2, 4096, 2), (64, 8, 1 << 21, 8),
+            (64, 10 ** 9, 4096, 64), (64, 8, 5, 4), (1, 8, 1 << 21, 1)):
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: cpus)
+        got, ranges = oracle_module._scan_plan(total, parallelism)
+        assert got == workers == min(parallelism, len(ranges), cpus)
+        # contiguous ranges covering [1, total), about 16 per worker
+        assert ranges[0][0] == 1 and ranges[-1][1] == total
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert len(ranges) <= min(parallelism, cpus) * \
+            oracle_module.SCAN_RANGES_PER_WORKER
+
+
+def test_errors_survive_a_pickle_round_trip():
+    # a worker's exception reaches the caller pickled
+    for cls in (DomainError, CapacityError, InvariantError):
+        err = pickle.loads(pickle.dumps(cls("level 9: cap 2^21")))
+        assert type(err) is cls and str(err) == "level 9: cap 2^21"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_spin_result_is_canon_of_the_closure(p):
+    rng = random.Random(p)
+    for dim in (3, 5, 8):
+        space = VecSpace(p, dim)
+        for _ in range(6):
+            gens = [[space.from_coords(rng.randrange(p) for _ in range(dim))
+                     for _ in range(dim)] for _ in range(2)]
+            mod = Module(p, dim, gens)
+            seed = space.from_coords(rng.randrange(p) for _ in range(dim)) \
+                or space.unit(0)
+            # reference: grow the span under the maps until it is closed
+            key = space.canon([seed])
+            while True:
+                grown = space.canon(list(key) + [f(r) for r in key
+                                                 for f in mod.apply])
+                if grown == key:
+                    break
+                key = grown
+            rows = spin(mod, seed)
+            assert rows == key
+            assert space.canon(rows) == rows
 
 
 @pytest.mark.parametrize("p,dim,lo,hi", [(3, 4, 1, 81), (3, 4, 8, 27),
