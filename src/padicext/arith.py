@@ -21,9 +21,9 @@ Factorization = tuple[tuple[int, int], ...]
 # Strong-pseudoprime witnesses.  The first twelve (2..37) are proven
 # complete below PRIMALITY_BOUND, the least strong pseudoprime to all of
 # them (Sorenson-Webster, Math. Comp. 2017); the rest extend no proof, so
-# is_prime and factorize refuse n >= PRIMALITY_BOUND.  This
-# covers every value this artifact actually factors (p^m - 1 with p^m below
-# the configured field ceilings).
+# is_prime and factorize refuse n >= PRIMALITY_BOUND.  This covers every
+# value this artifact actually factors (p^m - 1 with p^m below the
+# configured field ceilings).
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
