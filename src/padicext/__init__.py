@@ -12,7 +12,7 @@ from .action import (AuxFieldData, MetacyclicGroup, build_group, constituents,
 from .arith import (factorize, order_pair_count, order_pair_product,
                     split_fraction)
 from .errors import CapacityError, DomainError, InvariantError
-from .ffield import FieldCtx, element_order, make_field, min_subfield_degree
+from .ffield import FieldCtx, make_field
 from .groups import (CatalogEntry, GroupDescriptor, MatrixPair, catalog,
                      generator_matrices, group_closure_order, split_class)
 from .oracle import (Module, classify_submodule,

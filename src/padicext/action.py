@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import multiplicative_order
+from .arith import closure, multiplicative_order
 from .census import ExtensionParams, degree_exponent
 from .errors import CapacityError, DomainError, InvariantError
 
@@ -43,6 +43,10 @@ class AuxFieldData:
 
     def __post_init__(self) -> None:
         p = self.p
+        if self.e_rel < 1 or self.f_rel < 1:
+            raise DomainError(
+                f"e_rel and f_rel must be positive, got e_rel = {self.e_rel}, "
+                f"f_rel = {self.f_rel}")
         if gcd(self.e_rel * self.f_rel, p) != 1:
             raise DomainError(
                 f"group order e_rel*f_rel = {self.e_rel}*{self.f_rel} must be "
@@ -287,10 +291,6 @@ class PairClass:
     mult_by_level: tuple[int, ...]
     global_multiplicity: int     # s * n_K
 
-    @property
-    def label_seed(self) -> tuple[int, int, int]:
-        return (self.t, self.b, self.m)
-
 
 def pair_classes(aux: AuxFieldData, dim_filter: int | None = None) -> list[PairClass]:
     """All character pair classes (optionally only those of one F_p
@@ -310,14 +310,10 @@ def pair_classes(aux: AuxFieldData, dim_filter: int | None = None) -> list[PairC
         for b0 in range(m):
             if (t0, b0) in seen:
                 continue
-            orbit = {(t0, b0)}
-            frontier = [(t0, b0)]
-            while frontier:
-                t, b = frontier.pop()
-                for nxt in ((t * q % e, b), (t * p % e, b * p % m)):
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
+            # (t, b) -> (q t, b) and (t, b) -> (p t, p b)
+            orbit = closure((t0, b0), ((q, 1), (p, p)),
+                            lambda tb, g: (tb[0] * g[0] % e, tb[1] * g[1] % m),
+                            BOOKKEEPING_CAP)
             key = min(orbit)
             if key in seen:
                 continue

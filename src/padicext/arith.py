@@ -204,6 +204,26 @@ def multiplicative_order(a: int, n: int) -> int:
     return order
 
 
+def closure(start, gens, step, cap: int) -> set:
+    """Every element reachable from start by repeated x -> step(x, g), g in
+    gens, by breadth-first search.  Raises CapacityError instead of growing
+    past cap elements: a closure of exactly cap elements is answered."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = step(x, g)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise CapacityError(f"closure exceeds cap {cap}")
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def order_pair_count(a: int, b: int) -> int:
     """Number of elements of order exactly ``a`` in C_a x C_b.
 

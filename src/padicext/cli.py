@@ -21,7 +21,7 @@ from .census import CensusReport, ExtensionParams, census_by_group
 from .errors import CapacityError, DomainError, InvariantError
 from .groups import catalog
 from .oracle import oracle_census
-from .ramify import (SYNTHETIC_DISC_INPUTS, WildInputs, audit,
+from .ramify import (SYNTHETIC_DISC_INPUTS, WildInputs, _disc_detail, audit,
                      discriminant_report, herbrand_convert, jump_schedule)
 from . import selftest as selftest_mod
 
@@ -272,15 +272,7 @@ def _ramify_block(inputs: WildInputs) -> dict:
                      for lo, hi, ex in profile.segments],
         "flagged": profile.flagged,
     }
-    disc = discriminant_report(inputs)
-    block["discriminant"] = {
-        "alpha_closed": str(disc.alpha_closed),
-        "closed_exact": disc.closed_exact,
-        "different_valuation": disc.different_valuation,
-        "alpha_direct": disc.alpha_direct,
-        "agree": disc.agree,
-        "flagged": disc.flagged,
-    }
+    block["discriminant"] = _disc_detail(discriminant_report(inputs))
     if not profile.flagged:
         h = herbrand_convert(profile)
         block["herbrand_vertices"] = [[str(u), str(fu)] for u, fu in h.vertices]
@@ -467,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle": "independent census by explicit submodule enumeration",
         "ramify": "jump schedule, different, and discriminant routes",
         "audit": "cross-validation report (exit 2 on disagreements)",
-        "selftest": "run the built-in property grid",
+        "selftest": "run the built-in smoke grid",
         "crosscheck": "compare census output against a fixture file",
     }
     for name, handler in handlers.items():

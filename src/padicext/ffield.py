@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .arith import Factorization, divisors, factorize, is_prime
+from .arith import Factorization, factorize, is_prime
 from .errors import CapacityError, DomainError, InvariantError
 
 DEFAULT_CEILING = 1 << 32
@@ -187,10 +187,6 @@ class FieldCtx:
             out.append(r)
         return tuple(out)
 
-    def digits(self, x: int) -> tuple[int, ...]:
-        """Coefficient vector of x, constant term first."""
-        return self._digits_of(x)
-
     def from_digits(self, coeffs) -> int:
         v = 0
         for c in reversed(tuple(coeffs)):
@@ -233,7 +229,7 @@ class FieldCtx:
         p, m = self.p, self.m
         if self.m == 1:
             return a * b % p
-        da, db = self.digits(a), self.digits(b)
+        da, db = self._digits_of(a), self._digits_of(b)
         prod = [0] * (2 * m - 1)
         for i, ai in enumerate(da):
             if ai:
@@ -291,15 +287,6 @@ class FieldCtx:
             self._order_memo[x] = order
         return order
 
-    def min_subfield_degree(self, x: int) -> int:
-        """Least r with x^(p^r) = x; always divides m."""
-        if x == 0:
-            raise DomainError("subfield degree of zero is undefined")
-        for r in divisors(self.m):
-            if self.frob(x, r) == x:
-                return r
-        raise DomainError("unreachable")  # pragma: no cover
-
     def dlog(self, x: int) -> int:
         """k in [0, p^m - 1) with generator^k == x.
 
@@ -356,11 +343,3 @@ def make_field(p: int, m: int, ceiling: int = DEFAULT_CEILING) -> FieldCtx:
     if p ** m > ceiling:
         raise CapacityError(f"p^{m} = {p ** m} exceeds ceiling {ceiling}")
     return _make_field_cached(p, m)
-
-
-def element_order(ctx: FieldCtx, x: int) -> int:
-    return ctx.element_order(x)
-
-
-def min_subfield_degree(ctx: FieldCtx, x: int) -> int:
-    return ctx.min_subfield_degree(x)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import multiplicative_order
-from .census import (CensusReport, ExtensionParams, census_by_group,
-                     cyclic_label, nonabelian_label)
-from .errors import CapacityError, DomainError, InvariantError
+from .arith import closure, multiplicative_order
+from .census import (ExtensionParams, census_by_group, cyclic_label,
+                     nonabelian_label)
+from .errors import DomainError, InvariantError
 from .ffield import FieldCtx, make_field
 from .linalg import VecSpace
 
@@ -45,23 +45,6 @@ class MonomialMatrix:
             ctx.mul(other.coeffs[j], self.coeffs[(j + other.shift) % ell])
             for j in range(ell))
         return MonomialMatrix(ell, s, coeffs)
-
-    def inv(self, ctx: FieldCtx) -> "MonomialMatrix":
-        ell = self.ell
-        s = (-self.shift) % ell
-        coeffs = tuple(ctx.inv(self.coeffs[(k - s) % ell]) for k in range(ell))
-        return MonomialMatrix(ell, s, coeffs)
-
-    def is_identity(self) -> bool:
-        return self.shift == 0 and all(c == 1 for c in self.coeffs)
-
-    def dense(self) -> tuple[tuple[int, ...], ...]:
-        """Row tuples of encoded field elements."""
-        ell = self.ell
-        rows = [[0] * ell for _ in range(ell)]
-        for j in range(ell):
-            rows[(j + self.shift) % ell][j] = self.coeffs[j]
-        return tuple(tuple(r) for r in rows)
 
     @staticmethod
     def identity(ell: int) -> "MonomialMatrix":
@@ -110,22 +93,14 @@ def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> set:
         # (m * g).coeffs[j] = g.coeffs[j] * m.coeffs[(j + g.shift) % ell]
         laws.append((g.shift, tuple((logs[x], (j + g.shift) % ell)
                                     for j, x in enumerate(g.coeffs))))
-    identity = (0, (0,) * ell)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for shift, exps in frontier:
-            for gshift, law in laws:
-                prod = ((shift + gshift) % ell,
-                        tuple((e + exps[i]) % n for e, i in law))
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise CapacityError(f"group closure exceeds cap {cap}")
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
+
+    def step(key, law):
+        shift, exps = key
+        gshift, pairs = law
+        # a list comprehension: tuple() of a generator is slower here
+        return ((shift + gshift) % ell, tuple([(e + exps[i]) % n for e, i in pairs]))
+
+    return closure((0, (0,) * ell), laws, step, cap)
 
 
 def group_closure_order(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> int:
@@ -228,17 +203,15 @@ class CatalogEntry:
     noncommuting_witness: tuple[MonomialMatrix, MonomialMatrix] | None
 
 
-def catalog(params: ExtensionParams, closure_cap: int = CLOSURE_CAP,
-            census: CensusReport | None = None) -> list[CatalogEntry]:
+def catalog(params: ExtensionParams,
+            closure_cap: int = CLOSURE_CAP) -> list[CatalogEntry]:
     """One entry per positive-count census descriptor, with a concrete
     matrix representative; closure orders are computed when the expected
     order fits under the cap, otherwise left as None."""
     p, ell = params.p, params.ell
     ctx = make_field(p, ell, ceiling=FIELD_CEILING)
-    if census is None:
-        census = census_by_group(params)
     entries: list[CatalogEntry] = []
-    for centry in census.by_group:
+    for centry in census_by_group(params).by_group:
         c = centry.c
         alpha = ctx.root_of_unity(c)
         if centry.kind == "cyclic":
@@ -315,34 +288,3 @@ def frobenius_rep(ctx: FieldCtx, k: int = 1) -> list[int]:
     for _ in range(k % ctx.m):
         out = space.compose(step, out)
     return out
-
-
-def cyclic_prime_field_model(ctx: FieldCtx, alpha: int, beta: int) -> list[list]:
-    """F_p-matrices of the two commuting diagonal generators: the pair
-    acts on GF(p^ell) by multiplication."""
-    return [regular_rep(ctx, alpha), regular_rep(ctx, beta)]
-
-
-def nonabelian_prime_field_model(ctx: FieldCtx, alpha: int, beta: int) -> list[list]:
-    """F_p-matrices of (mult by alpha, mult-by-root o Frobenius^(ell-1))
-    where root^(1+p+...+p^(ell-1)) = beta, so the shift generator's ell-th
-    power is exactly the scalar beta; generates a group isomorphic to
-    <T_alpha, V_beta>."""
-    tau = regular_rep(ctx, alpha)
-    root = _power_sum_root(ctx, beta)
-    v = VecSpace(ctx.p, ctx.m).compose(regular_rep(ctx, root),
-                                       frobenius_rep(ctx, ctx.m - 1))
-    return [tau, v]
-
-
-def _power_sum_root(ctx: FieldCtx, beta: int) -> int:
-    """Solve x^(1+p+...+p^(ell-1)) = beta for beta in the prime subfield;
-    the discrete log of beta is always divisible by the power sum."""
-    ps = power_sum(ctx.p, ctx.m)
-    if beta == 1:
-        return 1
-    t = ctx.dlog(beta)
-    if t % ps != 0:
-        raise InvariantError(f"no power-sum root for {beta}")
-    return ctx.pow(ctx.generator, t // ps)
-

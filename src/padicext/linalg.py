@@ -61,9 +61,6 @@ class VecSpace:
 
     # -- vector basics ------------------------------------------------------
 
-    def zero(self) -> int:
-        return 0
-
     def unit(self, i: int) -> int:
         return 1 << (i * self.w)
 

@@ -19,27 +19,27 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from .action import (AuxFieldData, constituents, default_aux_data,
                      level_indices, pair_classes, residue_orbits)
-from .arith import factorize, multiplicative_order
+from .arith import closure, factorize, multiplicative_order
 from .census import (CensusEntry, CensusReport, ExtensionParams,
                      census_by_group, cyclic_label, nonabelian_label)
 from .errors import CapacityError, DomainError, InvariantError
 from .ffield import FieldCtx, make_field
-from .groups import (beta_is_power_residue, frobenius_rep, nonsplit_index,
-                     regular_rep)
+from .groups import (CLOSURE_CAP, beta_is_power_residue, frobenius_rep,
+                     nonsplit_index, regular_rep)
 from .linalg import VecSpace, restrict_map
 
 EXHAUSTIVE_CAP = 1 << 24
 SPIN_DIM_CAP = 64
-DEFAULT_BLOCK_CAP = 1 << 18
+BLOCK_CAP = 1 << 18  # blocks re-counted by exhaustive spinning
 # the real tractability gates are SPIN_DIM_CAP and the bookkeeping caps;
 # field arithmetic is polynomial-based, so the order is bounded only by
 # factoring p^m - 1 soundly: 2^64 admits GF(2^64) at the spin cap and
 # stays below 3.317e24, where arith.is_prime's fixed witnesses are proven
 ORACLE_FIELD_CEILING = 1 << 64
-CLASSIFY_CAP = 10 ** 5
 PARALLEL_MIN_SEEDS = 4096  # smaller scans stay in the calling process
 # contiguous seed ranges per worker: the work per seed is uneven across
 # [1, p^dim), so one range each leaves a worker idle at the end
@@ -60,9 +60,6 @@ class Module:
         self.space = VecSpace(p, dim)
         self.generator_images = [list(g) for g in generator_images]
         self.apply = [self.space.map_from_images(g) for g in self.generator_images]
-
-    def size(self) -> int:
-        return self.p ** self.dim
 
 
 def spin(module: Module, seed, abort_dim: int | None = None,
@@ -163,7 +160,7 @@ def enumerate_irreducible_submodules(module: Module, target_dim: int,
     exhaustive seed scan; deterministic and independent of parallelism
     (abort_below makes each subspace's verdict independent of how the
     seeds are split)."""
-    total = module.size()
+    total = module.p ** module.dim
     if total > cap:
         raise CapacityError(
             f"exhaustive enumeration needs p^dim <= {cap}; restrict to one "
@@ -271,29 +268,14 @@ def _mat_order(space: VecSpace, A: tuple, group_order: int, ident: tuple) -> int
     return order
 
 
-def matrix_group_elements(p: int, dim: int, gen_images: list[list],
-                          cap: int = CLASSIFY_CAP) -> set[tuple]:
+def matrix_group_elements(p: int, dim: int, gen_images: list[list]) -> set[tuple]:
     space = VecSpace(p, dim)
-    gens = [tuple(g) for g in gen_images]
     ident = tuple(space.unit(j) for j in range(dim))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = _mat_mul(space, m, g)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise CapacityError(f"matrix closure exceeds {cap}")
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
+    return closure(ident, [tuple(g) for g in gen_images], partial(_mat_mul, space),
+                   CLOSURE_CAP)
 
 
-def classify_submodule(p: int, ell: int, gen_images: list[list],
-                       cap: int = CLASSIFY_CAP) -> ClassifiedGroup:
+def classify_submodule(p: int, ell: int, gen_images: list[list]) -> ClassifiedGroup:
     """Descriptor of the group generated by the action matrices on an
     ell-dimensional submodule (generators ordered: inertia part first).
 
@@ -309,7 +291,7 @@ def classify_submodule(p: int, ell: int, gen_images: list[list],
     ident = tuple(space.unit(j) for j in range(ell))
     abelian = all(_mat_mul(space, a, b) == _mat_mul(space, b, a)
                   for a in gens for b in gens)
-    elements = matrix_group_elements(p, ell, gens, cap=cap)
+    elements = matrix_group_elements(p, ell, gens)
     n = len(elements)
     if abelian:
         if not any(_mat_order(space, g, n, ident) == n for g in elements):
@@ -346,7 +328,6 @@ def _nonsplit_class_index(space: VecSpace, elements: set[tuple], p: int,
     for g in order_c:
         if g not in cyc:
             raise InvariantError("maximal cyclic subgroup is not unique")
-    g_inv = {_mat_pow(space, g, c * ell - 1, ident): g for g in elements}
     target = _mat_pow(space, gamma, p % c, ident)
     for g in sorted(elements):
         if g in cyc:
@@ -379,8 +360,7 @@ class LevelRealization:
     """Concrete unit-filtration modules for one parameter set: the big
     residue field, the fixed root of unity, and per-level action maps."""
 
-    def __init__(self, params: ExtensionParams, aux: AuxFieldData,
-                 field_ceiling: int = ORACLE_FIELD_CEILING) -> None:
+    def __init__(self, params: ExtensionParams, aux: AuxFieldData) -> None:
         self.params = params
         self.aux = aux
         p = params.p
@@ -389,7 +369,7 @@ class LevelRealization:
         if self.dim > SPIN_DIM_CAP:
             raise CapacityError(
                 f"residue field degree {self.dim} exceeds the spin cap")
-        self.kappa: FieldCtx = make_field(p, self.dim, ceiling=field_ceiling)
+        self.kappa: FieldCtx = make_field(p, self.dim, ceiling=ORACLE_FIELD_CEILING)
         self.zeta = self.kappa.root_of_unity(aux.e_rel)
         self.space = VecSpace(p, self.dim)
         # v = x -> x^(p^f_K) on the coordinate basis x^j, built once
@@ -508,16 +488,13 @@ def _restricted_gens(space: VecSpace, rows: tuple, taus: list, vs: list,
 
 
 def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
-                  block_cap: int = DEFAULT_BLOCK_CAP,
-                  level_cap: int = 0,
-                  parallelism: int = 1,
-                  field_ceiling: int = ORACLE_FIELD_CEILING) -> OracleCensus:
+                  level_cap: int = 0, parallelism: int = 1) -> OracleCensus:
     """Assemble the census by explicit enumeration and classification.
 
     Every level's target-dimension constituents are isolated, enumerated,
     grouped into isomorphism classes by equivariant-map solving, counted
     through the subspace law on measured multiplicities, and classified by
-    matrix closure.  Blocks no larger than `block_cap` are re-counted by
+    matrix closure.  Blocks no larger than BLOCK_CAP are re-counted by
     exhaustive spinning; levels no larger than `level_cap` are swept whole.
     """
     if params.p == params.ell:
@@ -526,7 +503,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
         aux = default_aux_data(params)
     ell = params.ell
     p = params.p
-    real = LevelRealization(params, aux, field_ceiling=field_ceiling)
+    real = LevelRealization(params, aux)
     space = real.space
 
     classes: list[_PhysicalClass] = []
@@ -598,7 +575,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
         descriptors.append(desc)
         block_dim = ell * mult
         verified = False
-        if p ** block_dim <= block_cap:
+        if p ** block_dim <= BLOCK_CAP:
             verified = _verify_block(params, aux, real, cls, count, desc,
                                      parallelism)
         out_classes.append(OracleClassReport(

@@ -40,11 +40,6 @@ class WildInputs:
     def degree_over_base(self) -> int:
         return self.e_rel * self.f_rel
 
-    @property
-    def window_end(self) -> Fraction:
-        """p*e_F/(p-1) - 1, the end of the upper-jump window."""
-        return Fraction(self.p * self.e_f, self.p - 1) - 1
-
     @staticmethod
     def from_params(params: ExtensionParams, aux: AuxFieldData) -> "WildInputs":
         return WildInputs(p=params.p, d=degree_exponent(params).exponent,
@@ -87,9 +82,6 @@ class JumpSchedule:
     k = 0 mod (p-1), for 1 <= k <= e_F - 1."""
 
     t: tuple[int, ...]
-
-    def last(self) -> int:
-        return self.t[-1]
 
 
 @dataclass(frozen=True)
@@ -149,18 +141,6 @@ def different_valuation(profile: RamificationProfile) -> int:
     total = profile.inertia_order - 1
     for lo, hi, exp in profile.segments:
         total += (p ** exp - 1) * (hi - lo)
-    return total
-
-
-def different_valuation_literal(profile: RamificationProfile) -> int:
-    """Term-by-term comparator for tests; iterates every index i."""
-    if profile.flagged:
-        raise DomainError("flagged profile")
-    p = profile.p
-    total = profile.inertia_order - 1
-    for lo, hi, exp in profile.segments:
-        for _ in range(lo + 1, hi + 1):
-            total += p ** exp - 1
     return total
 
 

@@ -22,11 +22,11 @@ from padicext.groups import catalog, split_class
 from padicext.oracle import (enumerate_irreducible_submodules, oracle_census,
                              subspace_count_law)
 from padicext.ramify import (WildInputs, audit, different_valuation,
-                             different_valuation_literal, herbrand_convert,
-                             jump_schedule)
+                             herbrand_convert, jump_schedule)
 from fractions import Fraction
 
 from test_oracle import scalar_tower_module
+from test_ramify import different_valuation_literal
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -99,8 +99,7 @@ def test_criterion_2_pair_count_semantics():
 
 def test_criterion_3_oracle_equivalence_mixed_case():
     start = time.monotonic()
-    oc2 = oracle_census(ExtensionParams(2, 3, 1, 1), block_cap=1 << 18,
-                        level_cap=1 << 21)
+    oc2 = oracle_census(ExtensionParams(2, 3, 1, 1), level_cap=1 << 21)
     assert oc2.matches_closed_form
     assert oc2.report.total == 16
     assert {e.label: e.count for e in oc2.report.by_group} == \
@@ -110,8 +109,7 @@ def test_criterion_3_oracle_equivalence_mixed_case():
     assert [r.level for r in oc2.level_exhaustive] == [1, 3, 5, 7, 9, 11, 13]
     assert dict((r.level, r.found) for r in oc2.level_exhaustive)[7] == 2
 
-    oc3 = oracle_census(ExtensionParams(3, 2, 1, 1), block_cap=1 << 18,
-                        level_cap=3 ** 8)
+    oc3 = oracle_census(ExtensionParams(3, 2, 1, 1), level_cap=3 ** 8)
     assert oc3.matches_closed_form
     assert oc3.report.total == 30
     assert {e.label: e.count for e in oc3.report.by_group} == \
@@ -126,7 +124,7 @@ def test_criterion_3_oracle_equivalence_mixed_case():
 
 
 def test_criterion_4_oracle_equivalence_divisible_case():
-    oc = oracle_census(ExtensionParams(2, 3, 1, 3), block_cap=1 << 18)
+    oc = oracle_census(ExtensionParams(2, 3, 1, 3))
     assert oc.matches_closed_form
     assert {e.label: e.count for e in oc.report.by_group} == {"C(7)": 1168}
     assert all(e.kind == "cyclic" for e in oc.report.by_group)
@@ -211,11 +209,11 @@ def test_criterion_7_ramification():
             continue
         h = herbrand_convert(prof)
         for x in (Fraction(0), Fraction(1), Fraction(5, 3), Fraction(7, 2),
-                  Fraction(prof.schedule.last()),
-                  Fraction(prof.schedule.last() * 2 + 1, 2)):
+                  Fraction(prof.schedule.t[-1]),
+                  Fraction(prof.schedule.t[-1] * 2 + 1, 2)):
             assert h.to_lower(h.to_upper(x)) == x
             assert h.to_upper(h.to_lower(x)) == x
-        if prof.schedule.last() <= 10 ** 4:
+        if prof.schedule.t[-1] <= 10 ** 4:
             assert different_valuation(prof) == \
                 different_valuation_literal(prof)
         profiles += 1

@@ -166,3 +166,14 @@ def test_ramify_report_contents():
     assert synth["discriminant"]["alpha_closed"] == "39"
     assert synth["discriminant"]["alpha_direct"] == "31"
     assert synth["discriminant"]["agree"] is False
+
+
+def test_nonpositive_relative_invariants_are_usage_errors():
+    for command in ("module", "ramify", "audit", "oracle"):
+        for e_rel, f_rel in (("-1", "1"), ("-7", "-3")):
+            proc = run_cli(command, "--p", "2", "--ell", "3", "--eK", "1",
+                           "--fK", "1", "--e-rel", e_rel, "--f-rel", f_rel)
+            assert proc.returncode == 1, (command, e_rel, f_rel)
+            assert proc.stderr.startswith("error:"), proc.stderr
+            assert f"e_rel = {e_rel}, f_rel = {f_rel}" in proc.stderr
+            assert "Traceback" not in proc.stderr

@@ -43,18 +43,6 @@ def test_prime_order_group_every_element_generates():
     assert ctx.element_order(1) == 1
 
 
-def test_min_subfield_degree():
-    ctx = make_field(2, 6)
-    x = ctx.root_of_unity(3)  # order 3 divides 2^2-1 but not 2-1
-    assert ctx.element_order(x) == 3
-    assert ctx.min_subfield_degree(x) == 2
-    assert ctx.min_subfield_degree(1) == 1
-    g = make_field(3, 2).generator
-    assert make_field(3, 2).min_subfield_degree(g) == 2
-    with pytest.raises(DomainError):
-        ctx.min_subfield_degree(0)
-
-
 def test_field_axioms_sampled():
     rng = random.Random(0)
     for p, m in GRID:

@@ -1,18 +1,70 @@
 """Matrix catalog: generator identities, closures, split classes."""
 
 import random
+from functools import partial
 
 import pytest
 
+from padicext.arith import closure
 from padicext.census import ExtensionParams, census_by_group
-from padicext.errors import CapacityError, DomainError
+from padicext.errors import CapacityError, DomainError, InvariantError
 from padicext.ffield import make_field
 from padicext.groups import (MonomialMatrix, catalog, closure_elements,
-                             cyclic_prime_field_model, frobenius_rep,
-                             generator_matrices, group_closure_order,
-                             nonabelian_prime_field_model, split_class)
+                             frobenius_rep, generator_matrices,
+                             group_closure_order, power_sum, regular_rep,
+                             split_class)
 from padicext.linalg import VecSpace
-from padicext.oracle import classify_submodule
+from padicext.oracle import (_mat_mul, classify_submodule,
+                             matrix_group_elements)
+
+
+def monomial_inv(m: MonomialMatrix, ctx) -> MonomialMatrix:
+    ell = m.ell
+    s = (-m.shift) % ell
+    return MonomialMatrix(ell, s, tuple(ctx.inv(m.coeffs[(k - s) % ell])
+                                        for k in range(ell)))
+
+
+# ---------------------------------------------------------------------------
+# prime-field models: the catalog's groups as F_p-matrices on GF(p^ell)
+
+def cyclic_prime_field_model(ctx, alpha: int, beta: int) -> list[list]:
+    """F_p-matrices of the two commuting diagonal generators: the pair
+    acts on GF(p^ell) by multiplication."""
+    return [regular_rep(ctx, alpha), regular_rep(ctx, beta)]
+
+
+def nonabelian_prime_field_model(ctx, alpha: int, beta: int) -> list[list]:
+    """F_p-matrices of (mult by alpha, mult-by-root o Frobenius^(ell-1))
+    where root^(1+p+...+p^(ell-1)) = beta, so the shift generator's ell-th
+    power is exactly the scalar beta; generates a group isomorphic to
+    <T_alpha, V_beta>."""
+    tau = regular_rep(ctx, alpha)
+    root = power_sum_root(ctx, beta)
+    v = VecSpace(ctx.p, ctx.m).compose(regular_rep(ctx, root),
+                                       frobenius_rep(ctx, ctx.m - 1))
+    return [tau, v]
+
+
+def power_sum_root(ctx, beta: int) -> int:
+    """Solve x^(1+p+...+p^(ell-1)) = beta for beta in the prime subfield;
+    the discrete log of beta is always divisible by the power sum."""
+    ps = power_sum(ctx.p, ctx.m)
+    if beta == 1:
+        return 1
+    t = ctx.dlog(beta)
+    if t % ps != 0:
+        raise InvariantError(f"no power-sum root for {beta}")
+    return ctx.pow(ctx.generator, t // ps)
+
+
+def fp_images(mat: MonomialMatrix, ctx) -> list[int]:
+    """mat as an F_p-matrix on GF(p^m)^ell = F_p^(ell*m): coordinate
+    j*m + k holds digit k of entry j."""
+    field, big = VecSpace(ctx.p, ctx.m), VecSpace(ctx.p, mat.ell * ctx.m)
+    return [field.decode(ctx.mul(mat.coeffs[j], ctx.p ** k))
+            << ((j + mat.shift) % mat.ell * ctx.m * big.w)
+            for j in range(mat.ell) for k in range(ctx.m)]
 
 
 def test_generator_matrix_shape_identities():
@@ -23,7 +75,7 @@ def test_generator_matrix_shape_identities():
     v3 = pair.V.mul(pair.V, ctx).mul(pair.V, ctx)
     assert v3.shift == 0 and set(v3.coeffs) == {1}
     # V T V^-1 has T's diagonal cyclically Frobenius-shifted
-    conj = pair.V.mul(pair.T, ctx).mul(pair.V.inv(ctx), ctx)
+    conj = pair.V.mul(pair.T, ctx).mul(monomial_inv(pair.V, ctx), ctx)
     assert conj.shift == 0
     assert conj.coeffs == tuple(pair.T.coeffs[(j - 1) % 3] for j in range(3))
 
@@ -31,7 +83,7 @@ def test_generator_matrix_shape_identities():
 def test_identity_pair_for_alpha_beta_one():
     ctx = make_field(2, 3)
     pair = generator_matrices(ctx, 1, 1, 3)
-    assert pair.T.is_identity()
+    assert pair.T == MonomialMatrix.identity(3)
     assert pair.V.shift == 1 and set(pair.V.coeffs) == {1}
 
 
@@ -111,10 +163,8 @@ def test_catalog_keys_match_census_keys():
     for (p, ell, ek, fk) in ((2, 3, 1, 1), (3, 2, 1, 1), (5, 2, 1, 1),
                              (2, 3, 2, 3), (7, 2, 1, 2), (3, 2, 1, 2)):
         params = ExtensionParams(p, ell, ek, fk)
-        census = census_by_group(params)
-        entries = catalog(params, census=census)
-        assert [e.descriptor.label for e in entries] == \
-            [e.label for e in census.by_group]
+        assert [e.descriptor.label for e in catalog(params)] == \
+            [e.label for e in census_by_group(params).by_group]
 
 
 def test_catalog_representative_invariants():
@@ -147,7 +197,7 @@ def test_conjugation_identity_on_all_catalog_representatives():
             if entry.descriptor.kind == "cyclic":
                 continue
             T, V = entry.generators
-            conj = V.mul(T, ctx).mul(V.inv(ctx), ctx)
+            conj = V.mul(T, ctx).mul(monomial_inv(V, ctx), ctx)
             shifted = tuple(T.coeffs[(j - 1) % ell] for j in range(ell))
             assert conj.shift == 0 and conj.coeffs == shifted
             vl = V
@@ -237,6 +287,16 @@ def test_closure_matches_field_reference_on_random_pairs(p, ell):
         with pytest.raises(CapacityError):
             closure_elements(gens, ctx, cap=len(ref) - 1)
         assert group_closure_order(gens, ctx, cap=len(ref)) == len(ref)
+        # the same group as F_p-matrices, through the oracle's closure
+        fp_gens = [tuple(fp_images(g, ctx)) for g in gens]
+        dim = ell * ctx.m
+        assert len(matrix_group_elements(p, dim, fp_gens)) == len(ref)
+        space = VecSpace(p, dim)
+        ident = tuple(space.unit(j) for j in range(dim))
+        step = partial(_mat_mul, space)
+        assert len(closure(ident, fp_gens, step, len(ref))) == len(ref)
+        with pytest.raises(CapacityError):
+            closure(ident, fp_gens, step, len(ref) - 1)
 
 
 def test_closure_when_coefficient_order_exceeds_group_order():

@@ -11,13 +11,13 @@ from padicext.action import (constituents, default_aux_data, level_indices,
 from padicext.census import ExtensionParams
 from padicext.errors import CapacityError, DomainError, InvariantError
 from padicext.ffield import make_field
-from padicext.groups import (cyclic_prime_field_model,
-                             nonabelian_prime_field_model)
 from padicext.linalg import VecSpace
 from padicext.oracle import (ORACLE_FIELD_CEILING, LevelRealization, Module,
                              classify_submodule,
                              enumerate_irreducible_submodules, oracle_census,
                              spin, subspace_count_law)
+
+from test_groups import cyclic_prime_field_model, nonabelian_prime_field_model
 
 
 def trivial_module(p: int, dim: int) -> Module:
@@ -96,7 +96,7 @@ def test_enumerate_deterministic_under_parallelism():
 def test_process_pool_scan_matches_serial(p, d, mult):
     # 4096 and 6561 seeds: at or above the cut-off for worker processes
     mod = scalar_tower_module(p, d, mult)
-    assert mod.size() >= oracle_module.PARALLEL_MIN_SEEDS
+    assert p ** mod.dim >= oracle_module.PARALLEL_MIN_SEEDS
     base = enumerate_irreducible_submodules(mod, d, parallelism=1)
     assert len(base) == subspace_count_law(d, mult, p)
     for n in (2, 3):
