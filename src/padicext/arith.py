@@ -27,6 +27,10 @@ Factorization = tuple[tuple[int, int], ...]
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
+# The most decimal digits a report may print for one integer: CPython's
+# default limit for int-to-str conversion, past which str() raises.
+OUTPUT_DIGIT_CAP = 4300
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Gaps of the mod-210 wheel starting at 11.
@@ -40,6 +44,22 @@ def _check_primality_bound(n: int) -> None:
         raise CapacityError(
             f"{n} is at or above {PRIMALITY_BOUND}, where the fixed "
             f"Miller-Rabin witnesses stop being proven")
+
+
+def check_output_digits(what: str, p: int, k: int, cofactor: int) -> None:
+    """Refuse, before it is built, a quantity below ``cofactor * p**k`` whose
+    decimal form could exceed OUTPUT_DIGIT_CAP digits.
+
+    Decided from bit lengths alone: p <= 2^b with b = (p-1).bit_length()
+    (equality at p = 2), so the quantity is below 2^(k*b + bits(cofactor)),
+    and an integer below 2^B has at most floor(B * log10 2) + 1 digits,
+    with 30103/10^5 > log10 2.  The bound only ever overestimates.
+    """
+    bits = k * (p - 1).bit_length() + cofactor.bit_length()
+    if bits * 30103 // 10 ** 5 + 1 > OUTPUT_DIGIT_CAP:
+        raise CapacityError(
+            f"{what} = {p}^{k} would exceed OUTPUT_DIGIT_CAP = "
+            f"{OUTPUT_DIGIT_CAP} decimal digits")
 
 
 def is_prime(n: int) -> bool:
@@ -188,6 +208,7 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+@lru_cache(maxsize=4096)
 def multiplicative_order(a: int, n: int) -> int:
     """Least k >= 1 with a^k = 1 mod n; requires gcd(a, n) = 1."""
     if n < 1:

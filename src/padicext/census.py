@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import (divisors, is_prime, order_pair_count, order_pair_product,
-                    split_fraction)
+from .arith import (check_output_digits, divisors, is_prime, order_pair_count,
+                    order_pair_product, split_fraction)
 from .errors import DomainError, InvariantError
 
 CASE_DIVIDES = "ell_divides_fK"
@@ -104,8 +104,12 @@ def total_classes(params: ExtensionParams) -> int:
     """(1/ell) * (p^(ell n_K) - 1)/(p^ell - 1) * ((p^ell-1)^2 - (p-1)^2).
 
     The same closed value covers both inertia cases; depends only on
-    (p, ell, n_K)."""
+    (p, ell, n_K).  Refuses with CapacityError, before any power is taken,
+    a census whose numbers could exceed OUTPUT_DIGIT_CAP digits: each is a
+    geometric sum below p^(ell n_K) times a weight or pair count below
+    p^(2 ell)."""
     p, ell, n = params.p, params.ell, params.n_k
+    check_output_digits("census size p^(ell*n_K)", p, ell * n, p ** (2 * ell))
     geom = _exact_div(p ** (ell * n) - 1, p ** ell - 1, "total_classes geometric part")
     weight = (p ** ell - 1) ** 2 - (p - 1) ** 2
     return _exact_div(geom * weight, ell, "total_classes division by ell")
@@ -135,6 +139,7 @@ def census_by_group(params: ExtensionParams,
     product form; that audit mode exists only to exhibit the divergence
     and generally breaks the cross-sum identity.
     """
+    total = total_classes(params)  # first: it checks the census size
     p, ell, n = params.p, params.ell, params.n_k
     pair_count = order_pair_product if use_product_form else order_pair_count
     entries: list[CensusEntry] = []
@@ -160,7 +165,6 @@ def census_by_group(params: ExtensionParams,
     entries = [e for e in entries if e.count != 0]
     entries.sort(key=lambda e: (e.c, {"cyclic": 0, "split": 1, "nonsplit": 2}[e.kind],
                                 e.class_index))
-    total = total_classes(params)
     ok = sum(e.count for e in entries) == total and all(e.count > 0 for e in entries)
     return CensusReport(total=total, case_tag=params.case_tag,
                         by_group=tuple(entries), identity_ok=ok)

@@ -22,7 +22,7 @@ from .errors import CapacityError, DomainError, InvariantError
 from .groups import catalog
 from .oracle import oracle_census
 from .ramify import (SYNTHETIC_DISC_INPUTS, WildInputs, _disc_detail, audit,
-                     discriminant_report, herbrand_convert, jump_schedule)
+                     discriminant_report, herbrand_convert)
 from . import selftest as selftest_mod
 
 EXIT_OK = 0
@@ -260,19 +260,26 @@ def _cmd_ramify(args) -> int:
 
 
 def _ramify_block(inputs: WildInputs) -> dict:
-    profile = jump_schedule(inputs)
-    block = {
-        "inputs": {"p": inputs.p, "d": inputs.d, "e_F": inputs.e_f,
-                   "f_F": inputs.f_f, "e_rel": inputs.e_rel,
-                   "f_rel": inputs.f_rel},
+    """One block of the report, or its inputs and the reason it was skipped
+    when one of its numbers would be too large to print."""
+    block = {"inputs": {"p": inputs.p, "d": inputs.d, "e_F": inputs.e_f,
+                        "f_F": inputs.f_f, "e_rel": inputs.e_rel,
+                        "f_rel": inputs.f_rel}}
+    try:
+        disc = discriminant_report(inputs)
+    except CapacityError as exc:
+        block["skipped"] = str(exc)
+        return block
+    profile = disc.profile
+    block.update({
         "schedule_t": list(profile.schedule.t),
         "jumps": list(profile.jumps),
         "jump_count": len(profile.jumps),
         "segments": [{"lo": lo, "hi": hi, "wild_exponent": ex}
                      for lo, hi, ex in profile.segments],
         "flagged": profile.flagged,
-    }
-    block["discriminant"] = _disc_detail(discriminant_report(inputs))
+        "discriminant": _disc_detail(disc),
+    })
     if not profile.flagged:
         h = herbrand_convert(profile)
         block["herbrand_vertices"] = [[str(u), str(fu)] for u, fu in h.vertices]

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .action import AuxFieldData, level_indices, span_profile
 from .census import ExtensionParams, degree_exponent
 from .errors import CapacityError, DomainError
-from .arith import order_pair_count, order_pair_product, divisors
+from .arith import (check_output_digits, divisors, order_pair_count,
+                    order_pair_product)
 
 JUMP_COUNT_CAP = 10 ** 4
 
@@ -109,16 +111,26 @@ class RamificationProfile:
 
 def jump_schedule(inputs: WildInputs) -> RamificationProfile:
     """Lower-numbering schedule and sizes, flagged (not repaired) when the
-    wild exponents d - k f_F underflow."""
+    wild exponents d - k f_F underflow.
+
+    Refuses with CapacityError, before any power is taken, when t(e_F - 1)
+    or a number built on p^d could exceed OUTPUT_DIGIT_CAP digits: t(e_F - 1)
+    is at most 1 + 2 * sum_(k < e_F) p^(k f_F) <= 5 p^((e_F - 1) f_F), and
+    |G_0|, the different and f_rel times it are below
+    p^d * f_rel * (e_rel + 2 e_F).
+    """
     p, d, e_f, f_f = inputs.p, inputs.d, inputs.e_f, inputs.f_f
     if e_f > JUMP_COUNT_CAP:
         raise CapacityError(f"jump schedule needs e_F <= {JUMP_COUNT_CAP}")
+    check_output_digits("jump schedule t(e_F - 1)", p, (e_f - 1) * f_f, 5)
+    check_output_digits("wild order p^d", p, d,
+                        inputs.f_rel * (inputs.e_rel + 2 * e_f))
     t = [0, 1]
+    unit = p ** f_f
+    power = 1
     for k in range(1, e_f):
-        step = p ** (k * f_f)
-        if k % (p - 1) == 0:
-            step *= 2
-        t.append(t[-1] + step)
+        power *= unit
+        t.append(t[-1] + (2 * power if k % (p - 1) == 0 else power))
     segments = []
     flagged = d < (e_f - 1) * f_f
     for k in range(e_f):
@@ -206,6 +218,7 @@ class DiscriminantReport:
     alpha_direct: int | None
     agree: bool | None
     flagged: str | None
+    profile: RamificationProfile  # the filtration the direct route used
 
 
 def disc_exponent_closed(inputs: WildInputs) -> tuple[Fraction, bool]:
@@ -214,11 +227,22 @@ def disc_exponent_closed(inputs: WildInputs) -> tuple[Fraction, bool]:
              - (p^n_F - 1)/(p^f_F - 1) - (p^n_F - 1)/(p^((p-1) f_F) - 1)).
 
     Returns (value, exact); a fractional value is reported, not rounded.
+
+    Refuses with CapacityError, before any power is taken, when the value
+    could exceed OUTPUT_DIGIT_CAP digits.  With g = (p-1) f_F and
+    h = gcd(n_F, g), |value| is below f_rel * ([F:K] + p(e_F+1) + 3) *
+    p^max(d, n_F), and its reduced denominator divides
+    (p-1) (p^g - 1)/(p^h - 1) < 2 (p-1) p^(g-h) (f_F divides n_F, so the
+    middle term is an integer).  Numerator and denominator are below the
+    product of the two bounds, which also bounds every power taken here.
     """
     p, d, e_f, f_f = inputs.p, inputs.d, inputs.e_f, inputs.f_f
     n_f = inputs.n_f
-    if d > 10 ** 6 or n_f > 10 ** 6:
-        raise CapacityError("discriminant exponent operands too large")
+    g = (p - 1) * f_f
+    check_output_digits(
+        "discriminant exponent p^max(d, n_F)", p, max(d, n_f) + g - gcd(n_f, g),
+        2 * (p - 1) * inputs.f_rel
+        * (inputs.degree_over_base + p * (e_f + 1) + 3))
     val = Fraction(inputs.degree_over_base - 1) + Fraction(p * (e_f + 1) - 1, p - 1)
     val = val * p ** d - 1
     val -= Fraction(p ** n_f - 1, p ** f_f - 1)
@@ -228,19 +252,21 @@ def disc_exponent_closed(inputs: WildInputs) -> tuple[Fraction, bool]:
 
 
 def discriminant_report(inputs: WildInputs) -> DiscriminantReport:
-    """Closed formula vs f_rel times the filtration different."""
+    """Closed formula vs f_rel times the filtration different; the report
+    carries the jump schedule it built."""
     closed, exact = disc_exponent_closed(inputs)
     profile = jump_schedule(inputs)
     if profile.flagged:
         return DiscriminantReport(alpha_closed=closed, closed_exact=exact,
                                   different_valuation=None, alpha_direct=None,
-                                  agree=None, flagged="wild exponent underflow")
+                                  agree=None, flagged="wild exponent underflow",
+                                  profile=profile)
     dv = different_valuation(profile)
     direct = inputs.f_rel * dv
     agree = exact and closed == direct
     return DiscriminantReport(alpha_closed=closed, closed_exact=exact,
                               different_valuation=dv, alpha_direct=direct,
-                              agree=agree, flagged=None)
+                              agree=agree, flagged=None, profile=profile)
 
 
 # ---------------------------------------------------------------------------

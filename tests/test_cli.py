@@ -6,6 +6,14 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
+
+from padicext import cli, ramify
+from padicext.arith import OUTPUT_DIGIT_CAP
+from padicext.census import ExtensionParams, census_by_group
+from padicext.errors import CapacityError
+from padicext.ramify import WildInputs, discriminant_report, jump_schedule
+from test_ramify import jump_schedule_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "src" / "padicext" / "schema.json").read_text())
@@ -177,3 +185,170 @@ def test_nonpositive_relative_invariants_are_usage_errors():
             assert proc.stderr.startswith("error:"), proc.stderr
             assert f"e_rel = {e_rel}, f_rel = {f_rel}" in proc.stderr
             assert "Traceback" not in proc.stderr
+
+
+def test_count_past_the_digit_cap_is_a_usage_error():
+    proc = run_cli("count", "--p", "2", "--ell", "3", "--eK", "20000",
+                   "--fK", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert "OUTPUT_DIGIT_CAP" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_ramify_builds_each_jump_schedule_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(inputs):
+        calls.append(inputs)
+        return jump_schedule(inputs)
+
+    # patched wherever the name is looked up
+    monkeypatch.setattr(ramify, "jump_schedule", counting)
+    monkeypatch.setattr(cli, "jump_schedule", counting, raising=False)
+    assert cli.main(["ramify", "--p", "2", "--ell", "3", "--eK", "1",
+                     "--fK", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2  # at_params and synthetic_example
+
+
+# --- OUTPUT_DIGIT_CAP at its boundary -------------------------------------
+
+# An accepted input prints every number; a refused one must have built a
+# number of at least 3/4 of the cap's digits, so the bound is not far off.
+CAP_FLOOR = 10 ** (3 * OUTPUT_DIGIT_CAP // 4)
+# 10^5 * log10(p), rounded down
+DIGITS_PER_P = {2: 30102, 3: 47712, 5: 69897, 7: 84509}
+# f_F for each p that puts p^(e_F f_F) at the cap near e_F = 120; the bound
+# starts refusing between 3/4 of that e_F and all of it
+WALK_F = {2: 119, 3: 75, 5: 51, 7: 42}
+WALK_E = range(88, 126)
+
+
+def _walk(k_cap: int) -> range:
+    """From 7/10 to 21/20 of k_cap, in steps of k_cap/50."""
+    return range(k_cap * 7 // 10, k_cap * 21 // 20, max(1, k_cap // 50))
+
+
+def _ramify_walks(p: int):
+    """Families of inputs that cross the cap, each as a list."""
+    f = WALK_F[p]
+    # d = (e-1) f, the largest unflagged wild dimension, so that every
+    # number of the block is printed
+    yield [WildInputs(p=p, d=(e - 1) * f, e_f=e, f_f=f, e_rel=e, f_rel=f)
+           for e in WALK_E]
+    if p > 2:
+        # at e_F = 1 the closed form's reduced denominator
+        # (p^((p-1) f) - 1)/(p^f - 1) carries its size
+        f_cap = OUTPUT_DIGIT_CAP * 10 ** 5 // ((p - 1) * DIGITS_PER_P[p])
+        yield [WildInputs(p=p, d=f, e_f=1, f_f=f, e_rel=1, f_rel=f)
+               for f in _walk(f_cap)]
+
+
+def _uncapped_report(monkeypatch, inputs):
+    with monkeypatch.context() as m:
+        m.setattr(ramify, "check_output_digits", lambda *args: None)
+        return discriminant_report(inputs)
+
+
+def _largest_printed(rep) -> int:
+    nums = [abs(rep.alpha_closed.numerator), rep.alpha_closed.denominator,
+            rep.profile.schedule.t[-1]]
+    if not rep.profile.flagged:
+        nums += [rep.different_valuation, rep.alpha_direct]
+    return max(nums)
+
+
+@pytest.mark.parametrize("p", sorted(WALK_F))
+def test_ramify_block_digit_cap_boundary(p, monkeypatch):
+    for family in _ramify_walks(p):
+        seen = set()
+        for inputs in family:
+            block = cli._ramify_block(inputs)
+            if "skipped" in block:
+                assert "OUTPUT_DIGIT_CAP" in block["skipped"]
+                rep = _uncapped_report(monkeypatch, inputs)
+                assert _largest_printed(rep) >= CAP_FLOOR, inputs
+                seen.add("refused")
+            else:
+                json.dumps(cli._jsonable(block))
+                seen.add("accepted")
+        assert seen == {"accepted", "refused"}, family[0]
+
+
+@pytest.mark.parametrize("p", sorted(WALK_F))
+def test_jump_schedule_digit_cap_boundary(p):
+    f = WALK_F[p]
+    seen = set()
+    for e in WALK_E:
+        # a flagged d leaves t(e_F - 1) the largest number
+        for d in ((e - 1) * f, f * e // 2):
+            inputs = WildInputs(p=p, d=d, e_f=e, f_f=f, e_rel=e, f_rel=f)
+            try:
+                prof = jump_schedule(inputs)
+            except CapacityError as exc:
+                assert "OUTPUT_DIGIT_CAP" in str(exc)
+                t_last = jump_schedule_reference(p, e, f)[-1]
+                assert max(t_last, p ** d) >= CAP_FLOOR, (p, e, d)
+                seen.add("refused")
+                continue
+            json.dumps(cli._jsonable(list(prof.schedule.t)))
+            if not prof.flagged:
+                json.dumps(cli._jsonable(ramify.different_valuation(prof)))
+            seen.add("accepted")
+    assert seen == {"accepted", "refused"}
+
+
+@pytest.mark.parametrize("p,ell", [(2, 3), (3, 2), (5, 3), (7, 3)])
+def test_census_digit_cap_boundary(p, ell):
+    # n_K where p^(ell n_K) has OUTPUT_DIGIT_CAP digits
+    n_cap = OUTPUT_DIGIT_CAP * 10 ** 5 // (ell * DIGITS_PER_P[p])
+    seen = set()
+    for e_k in _walk(n_cap):
+        params = ExtensionParams(p, ell, e_k, 1)
+        try:
+            report = census_by_group(params)
+        except CapacityError as exc:
+            assert "OUTPUT_DIGIT_CAP" in str(exc)
+            assert p ** (ell * e_k) >= CAP_FLOOR, (p, ell, e_k)
+            seen.add("refused")
+            continue
+        json.dumps(cli._jsonable(cli._census_block(report)))
+        seen.add("accepted")
+    assert seen == {"accepted", "refused"}
+
+
+# --- no traceback at any benchmark CLI point --------------------------------
+
+# the parameter points of the benchmark's cli-closed-forms workload
+BENCH_CLI_POINTS = ((2, 3, 1, 1), (3, 2, 1, 1), (2, 3, 1, 3), (5, 2, 1, 2),
+                    (5, 3, 1, 1), (3, 5, 1, 1), (2, 7, 1, 1), (7, 3, 1, 1))
+# where the discriminant block's numbers are past OUTPUT_DIGIT_CAP digits
+CAPPED_POINTS = BENCH_CLI_POINTS[4:]
+
+
+@pytest.mark.parametrize("command", ["count", "module", "ramify", "audit"])
+def test_no_traceback_at_benchmark_cli_points(command, capsys):
+    for point in BENCH_CLI_POINTS:
+        argv = [command]
+        for flag, value in zip(("--p", "--ell", "--eK", "--fK"), point):
+            argv += [flag, str(value)]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        if point not in CAPPED_POINTS:
+            continue
+        if command == "ramify":
+            assert code == 0
+            at_params = doc["result"]["at_params"]
+        elif command == "audit":
+            assert code == 2
+            item, = (it for it in doc["audit"]["items"]
+                     if it["name"] == "discriminant_two_routes")
+            at_params = item["detail"]["at_params"]
+        else:
+            continue
+        assert "OUTPUT_DIGIT_CAP" in at_params["skipped"], argv

@@ -71,6 +71,28 @@ def test_jump_schedule_synthetic():
     assert not prof.flagged
 
 
+def jump_schedule_reference(p: int, e_f: int, f_f: int) -> tuple[int, ...]:
+    """t(k) = t(k-1) + p^(k f_F), doubled when k = 0 mod (p-1), with one
+    fresh power per k, as the schedule is displayed."""
+    t = [0, 1]
+    for k in range(1, e_f):
+        step = pow(p, k * f_f)
+        if k % (p - 1) == 0:
+            step *= 2
+        t.append(t[-1] + step)
+    return tuple(t)
+
+
+def test_jump_schedule_matches_per_k_power_reference():
+    for p in (2, 3, 5, 7):
+        for e_f in range(1, 31):
+            for f_f in range(1, 6):
+                prof = jump_schedule(WildInputs(p=p, d=e_f * f_f, e_f=e_f,
+                                                f_f=f_f, e_rel=1, f_rel=1))
+                assert prof.schedule.t == jump_schedule_reference(
+                    p, e_f, f_f), (p, e_f, f_f)
+
+
 def test_jump_schedule_doubles_on_multiples_of_p_minus_one():
     prof = jump_schedule(WildInputs(p=3, d=8, e_f=3, f_f=2, e_rel=3, f_rel=1))
     # k=1: +3^2; k=2 (= 0 mod 2): +2*3^4
