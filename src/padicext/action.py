@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import ceil, gcd, lcm
 
 from .arith import closure, multiplicative_order
 from .census import ExtensionParams, degree_exponent
@@ -43,6 +44,8 @@ class AuxFieldData:
 
     def __post_init__(self) -> None:
         p = self.p
+        if p == self.ell:
+            raise DomainError("the auxiliary construction requires p != ell")
         if self.e_rel < 1 or self.f_rel < 1:
             raise DomainError(
                 f"e_rel and f_rel must be positive, got e_rel = {self.e_rel}, "
@@ -69,6 +72,11 @@ class AuxFieldData:
         return self.e_total * self.f_total
 
     @property
+    def q(self) -> int:
+        """p^f_K mod e_rel, the exponent of v's conjugation action on tau."""
+        return pow(self.p, self.f_k, self.e_rel)
+
+    @property
     def level_bound(self) -> Fraction:
         """p*e_F/(p-1), the open upper end of the level range."""
         return Fraction(self.p * self.e_total, self.p - 1)
@@ -78,8 +86,6 @@ def default_aux_data(params: ExtensionParams) -> AuxFieldData:
     """Default relative invariants: e_rel = p^ell - 1 and
     f_rel = lcm(p^ell - 1, ell*(p-1)), the ell factor dropped when
     ell | f_K."""
-    if params.p == params.ell:
-        raise DomainError("the auxiliary construction requires p != ell")
     p, ell = params.p, params.ell
     e_rel = p ** ell - 1
     factor = (1 if params.ell_divides_fk else ell) * (p - 1)
@@ -90,8 +96,6 @@ def default_aux_data(params: ExtensionParams) -> AuxFieldData:
 
 def make_aux_data(params: ExtensionParams, e_rel: int, f_rel: int) -> AuxFieldData:
     """User-specified relative invariants (validated, marked as override)."""
-    if params.p == params.ell:
-        raise DomainError("the auxiliary construction requires p != ell")
     return AuxFieldData(p=params.p, ell=params.ell, e_k=params.e_k,
                         f_k=params.f_k, e_rel=e_rel, f_rel=f_rel,
                         source=USER_OVERRIDE)
@@ -148,8 +152,7 @@ class MetacyclicGroup:
 
 
 def build_group(aux: AuxFieldData) -> MetacyclicGroup:
-    q = pow(aux.p, aux.f_k, aux.e_rel) if aux.e_rel > 1 else 0
-    return MetacyclicGroup(e=aux.e_rel, f=aux.f_rel, q=q)
+    return MetacyclicGroup(e=aux.e_rel, f=aux.f_rel, q=aux.q)
 
 
 # ---------------------------------------------------------------------------
@@ -157,113 +160,110 @@ def build_group(aux: AuxFieldData) -> MetacyclicGroup:
 
 def level_indices(aux: AuxFieldData) -> list[int]:
     """Integers prime to p in the open interval (0, p*e_F/(p-1))."""
-    bound = aux.level_bound
-    out = []
-    i = 1
-    while Fraction(i) < bound:
-        if i % aux.p != 0:
-            out.append(i)
-        i += 1
-    return out
+    return [i for i in range(1, ceil(aux.level_bound)) if i % aux.p]
 
 
 @dataclass(frozen=True)
 class LevelAlphaData:
-    t0: int              # i mod e, exponent of the fixed e-th root
     alpha_order: int
     r: int               # degree of the tau character value
     s: int               # size of its q-power orbit
     q_orbit: tuple[int, ...]
 
 
+def _orbit(x: int, mult: int, mod: int) -> tuple[int, ...]:
+    """The orbit of x in Z/mod under y -> mult*y, sorted."""
+    return tuple(sorted(closure(x, (mult,), lambda y, g: y * g % mod,
+                                BOOKKEEPING_CAP)))
+
+
 def level_alpha_data(aux: AuxFieldData, i: int) -> LevelAlphaData:
     e = aux.e_rel
     t0 = i % e
-    alpha_order = e // gcd(e, t0) if t0 else 1
+    alpha_order = e // gcd(e, t0)
     r = multiplicative_order(aux.p, alpha_order)
     s = r // gcd(r, aux.f_k)
-    q = pow(aux.p, aux.f_k, e) if e > 1 else 0
-    orbit = [t0]
-    t = t0 * q % e
-    while t != t0:
-        orbit.append(t)
-        t = t * q % e
+    orbit = _orbit(t0, aux.q, e)
     if len(orbit) != s:
         raise InvariantError(
             f"q-orbit size {len(orbit)} != r/(r,f_K) = {s} at level {i}")
-    return LevelAlphaData(t0=t0, alpha_order=alpha_order, r=r, s=s,
-                          q_orbit=tuple(sorted(orbit)))
-
-
-def residue_orbits(m: int, mult: int) -> list[tuple[int, ...]]:
-    """Orbits of Z/m under multiplication by mult, sorted by minimum."""
-    seen = [False] * m
-    orbits = []
-    for b in range(m):
-        if seen[b]:
-            continue
-        orbit = [b]
-        seen[b] = True
-        x = b * mult % m
-        while x != b:
-            seen[x] = True
-            orbit.append(x)
-            x = x * mult % m
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+    return LevelAlphaData(alpha_order=alpha_order, r=r, s=s, q_orbit=orbit)
 
 
 @dataclass(frozen=True)
-class LevelConstituent:
-    """One irreducible piece of a level module, keyed by the Frobenius
-    orbit of its second character value."""
+class BetaPiece:
+    """An irreducible piece, keyed by the Frobenius orbit of its second
+    character value b in Z/m."""
+
+    beta_orbit: tuple[int, ...]  # the p-orbit of b in Z/m, sorted
+    beta_order: int
+    w: int                  # degree of the beta character value
+    d: int                  # field-of-definition degree lcm(w, (r, f_K))
+    dim_over_fp: int        # lcm(r w/(r,f_K), r)
+
+    @property
+    def beta_exp(self) -> int:  # canonical b (min of the p-orbit in Z/m)
+        return self.beta_orbit[0]
+
+
+@lru_cache(maxsize=4096)
+def beta_pieces(p: int, m: int, r: int, f_k: int) -> tuple[BetaPiece, ...]:
+    """One piece per orbit of Z/m under b -> p*b, ascending by minimum, for
+    a tau character value of degree r; the one place a piece is derived."""
+    g = gcd(r, f_k)
+    pieces = []
+    seen: set[int] = set()
+    for b in range(m):
+        if b in seen:
+            continue
+        orbit = _orbit(b, p, m)
+        seen.update(orbit)
+        beta_order = m // gcd(m, b)
+        w = multiplicative_order(p, beta_order)
+        if w != len(orbit):
+            raise InvariantError(
+                f"beta orbit of {b} mod {m} has size {len(orbit)} != w = {w}")
+        pieces.append(BetaPiece(beta_orbit=orbit, beta_order=beta_order, w=w,
+                                d=lcm(w, g), dim_over_fp=lcm(r * w // g, r)))
+    return tuple(pieces)
+
+
+def _level_pieces(i: int, aux: AuxFieldData) -> tuple:
+    """Level i's alpha data, m = f_rel // s and beta pieces, after the
+    dimension audit sum(w)*s*f_K = f_F (it fails if s does not divide f_rel)."""
+    ad = level_alpha_data(aux, i)
+    m = aux.f_rel // ad.s
+    pieces = beta_pieces(aux.p, m, ad.r, aux.f_k)
+    total = sum(pc.w for pc in pieces) * ad.s * aux.f_k
+    if total != aux.f_total:
+        raise InvariantError(
+            f"level {i} dimension audit failed: {total} != f_F = {aux.f_total}")
+    return ad, m, pieces
+
+
+@dataclass(frozen=True)
+class LevelConstituent(BetaPiece):
+    """One irreducible piece of a level module: a beta piece at one level."""
 
     level: int
     alpha_exp: int          # canonical t (min of the q-orbit)
-    beta_exp: int           # canonical b (min of the p-orbit in Z/m)
     beta_modulus: int       # m = f/s
     alpha_order: int
-    beta_order: int
     r: int
-    w: int
     s: int
-    d: int                  # field-of-definition degree lcm(w, (r, f_K))
-    dim_over_fp: int        # lcm(r w/(r,f_K), r)
     multiplicity_in_level: int   # f_K
     global_multiplicity: int     # s * n_K
     level_dim_contribution: int  # w * s * f_K
 
 
 def constituents(i: int, aux: AuxFieldData) -> list[LevelConstituent]:
-    """Decomposition bookkeeping for one level; the per-level dimension
-    audit (sum of contributions = f_F) is enforced."""
-    p, f_k = aux.p, aux.f_k
-    ad = level_alpha_data(aux, i)
-    if aux.f_rel % ad.s != 0:
-        raise InvariantError(f"s = {ad.s} does not divide f_rel = {aux.f_rel}")
-    m = aux.f_rel // ad.s
-    out = []
-    for orbit in residue_orbits(m, p % m if m > 1 else 0):
-        b = orbit[0]
-        beta_order = m // gcd(m, b) if b else 1
-        w = multiplicative_order(p, beta_order)
-        if w != len(orbit) and b != 0:
-            raise InvariantError("beta orbit size mismatch")
-        g = gcd(ad.r, f_k)
-        d = lcm(w, g)
-        dim = lcm(ad.r * w // g, ad.r)
-        out.append(LevelConstituent(
-            level=i, alpha_exp=min(ad.q_orbit), beta_exp=b, beta_modulus=m,
-            alpha_order=ad.alpha_order, beta_order=beta_order,
-            r=ad.r, w=w, s=ad.s, d=d, dim_over_fp=dim,
-            multiplicity_in_level=f_k,
-            global_multiplicity=ad.s * aux.e_k * aux.f_k,
-            level_dim_contribution=w * ad.s * f_k))
-    total = sum(c.level_dim_contribution for c in out)
-    if total != aux.f_total:
-        raise InvariantError(
-            f"level {i} dimension audit failed: {total} != f_F = {aux.f_total}")
-    return out
+    """Decomposition bookkeeping for one level, dimension audit enforced."""
+    ad, m, pieces = _level_pieces(i, aux)
+    return [LevelConstituent(
+        **vars(pc), level=i, alpha_exp=ad.q_orbit[0], beta_modulus=m,
+        alpha_order=ad.alpha_order, r=ad.r, s=ad.s, multiplicity_in_level=aux.f_k,
+        global_multiplicity=ad.s * aux.e_k * aux.f_k,
+        level_dim_contribution=pc.w * ad.s * aux.f_k) for pc in pieces]
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +276,10 @@ class PairClass:
 
     t: int
     b: int
-    m: int
-    alpha_order: int
     beta_order: int
     c: int                       # lcm of the two orders
-    r: int
-    w: int
     s: int
     d: int
-    dim_over_fp: int
-    orbit: tuple[tuple[int, int], ...]
     t_set: tuple[int, ...]       # distinct first components
     levels: tuple[int, ...]      # levels whose module contains this class
     mult_by_level: tuple[int, ...]
@@ -295,64 +289,54 @@ class PairClass:
 def pair_classes(aux: AuxFieldData, dim_filter: int | None = None) -> list[PairClass]:
     """All character pair classes (optionally only those of one F_p
     dimension), with level presence and multiplicities resolved."""
-    e, f, p, f_k = aux.e_rel, aux.f_rel, aux.p, aux.f_k
+    e, f, p, q, f_k = aux.e_rel, aux.f_rel, aux.p, aux.q, aux.f_k
     if e * f > BOOKKEEPING_CAP:
         raise CapacityError(f"pair class enumeration needs e*f <= {BOOKKEEPING_CAP}")
-    q = pow(p, f_k, e) if e > 1 else 0
     levels = level_indices(aux)
     alpha_by_residue = {t: level_alpha_data(aux, t if t else e) for t in range(e)}
-    q_orbit_sets = {t: frozenset(alpha_by_residue[t].q_orbit) for t in range(e)}
     classes: list[PairClass] = []
     seen: set[tuple[int, int]] = set()
     for t0 in range(e):
         ad = alpha_by_residue[t0]
         m = f // ad.s
-        for b0 in range(m):
-            if (t0, b0) in seen:
+        # a class stays inside one beta piece, so a filtered piece holds none
+        for piece in beta_pieces(p, m, ad.r, f_k):
+            if dim_filter is not None and piece.dim_over_fp != dim_filter:
                 continue
-            # (t, b) -> (q t, b) and (t, b) -> (p t, p b)
-            orbit = closure((t0, b0), ((q, 1), (p, p)),
-                            lambda tb, g: (tb[0] * g[0] % e, tb[1] * g[1] % m),
-                            BOOKKEEPING_CAP)
-            key = min(orbit)
-            if key in seen:
-                continue
-            seen.update(orbit)
-            beta_order = m // gcd(m, b0) if b0 else 1
-            w = multiplicative_order(p, beta_order)
-            g = gcd(ad.r, f_k)
-            d = lcm(w, g)
-            dim = lcm(ad.r * w // g, ad.r)
-            if dim_filter is not None and dim != dim_filter:
-                continue
-            t_set = tuple(sorted({t for t, _ in orbit}))
-            class_levels = []
-            mults = []
-            ds = d * ad.s
-            for i in levels:
-                if i % e not in t_set:
+            for b0 in piece.beta_orbit:
+                if (t0, b0) in seen:
                     continue
-                matching = sum(1 for (t, _) in orbit if t in q_orbit_sets[i % e])
-                raw = f_k * matching
-                if raw % ds != 0:
-                    raise InvariantError(f"non-integral multiplicity at level {i}")
-                if raw:
-                    class_levels.append(i)
-                    mults.append(raw // ds)
-            pc = PairClass(
-                t=key[0], b=key[1], m=m,
-                alpha_order=ad.alpha_order, beta_order=beta_order,
-                c=lcm(ad.alpha_order, beta_order),
-                r=ad.r, w=w, s=ad.s, d=d, dim_over_fp=dim,
-                orbit=tuple(sorted(orbit)), t_set=t_set,
-                levels=tuple(class_levels), mult_by_level=tuple(mults),
-                global_multiplicity=ad.s * aux.e_k * aux.f_k)
-            if sum(mults) != pc.global_multiplicity:
-                raise InvariantError(
-                    f"class {key}: level multiplicities {mults} do not sum to "
-                    f"s*n_K = {pc.global_multiplicity}")
-            classes.append(pc)
-    classes.sort(key=lambda c: (c.t, c.b, c.m))
+                # (t, b) -> (q t, b) and (t, b) -> (p t, p b)
+                orbit = closure((t0, b0), ((q, 1), (p, p)),
+                                lambda tb, g: (tb[0] * g[0] % e, tb[1] * g[1] % m),
+                                BOOKKEEPING_CAP)
+                seen.update(orbit)
+                t_set = tuple(sorted({t for t, _ in orbit}))
+                class_levels, mults = [], []
+                ds = piece.d * ad.s
+                for i in levels:
+                    if i % e not in t_set:
+                        continue
+                    q_orbit = alpha_by_residue[i % e].q_orbit
+                    raw = f_k * sum(1 for t, _ in orbit if t in q_orbit)
+                    if raw % ds != 0:
+                        raise InvariantError(f"non-integral multiplicity at level {i}")
+                    if raw:
+                        class_levels.append(i)
+                        mults.append(raw // ds)
+                key = min(orbit)
+                pc = PairClass(
+                    t=key[0], b=key[1], beta_order=piece.beta_order,
+                    c=lcm(ad.alpha_order, piece.beta_order), s=ad.s, d=piece.d,
+                    t_set=t_set, levels=tuple(class_levels),
+                    mult_by_level=tuple(mults),
+                    global_multiplicity=ad.s * aux.e_k * f_k)
+                if sum(mults) != pc.global_multiplicity:
+                    raise InvariantError(
+                        f"class {key}: level multiplicities {mults} do not sum to "
+                        f"s*n_K = {pc.global_multiplicity}")
+                classes.append(pc)
+    classes.sort(key=lambda c: (c.t, c.b))
     return classes
 
 
@@ -372,16 +356,16 @@ class SpanProfile:
 
 def span_profile(params: ExtensionParams, aux: AuxFieldData) -> SpanProfile:
     """Per-level dimensions of the span of all irreducible submodules of
-    dimension ell, from constituent bookkeeping alone; the total is
-    compared (not forced) against the closed degree exponent."""
+    dimension ell, from the beta pieces alone; the total is compared (not
+    forced) against the closed degree exponent."""
     if aux.e_total > 10 ** 5 or aux.f_rel > 10 ** 5:
         raise CapacityError("span profile bookkeeping over capacity")
     ell = params.ell
     per_level = []
     for i in level_indices(aux):
-        dim_i = sum(c.level_dim_contribution for c in constituents(i, aux)
-                    if c.dim_over_fp == ell)
-        per_level.append((i, dim_i))
+        ad, _, pieces = _level_pieces(i, aux)
+        per_level.append(
+            (i, sum(pc.w for pc in pieces if pc.dim_over_fp == ell) * ad.s * aux.f_k))
     total = sum(d for _, d in per_level)
     d_exp = degree_exponent(params).exponent
     return SpanProfile(per_level=tuple(per_level), total=total,

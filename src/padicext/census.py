@@ -66,6 +66,11 @@ class CensusEntry:
     class_index: int  # j for nonsplit entries, 0 otherwise
     count: int
 
+    def sort_key(self) -> tuple[int, int, int]:
+        """Census order: by c, then cyclic, split and nonsplit by index."""
+        return (self.c, ("cyclic", "split", "nonsplit").index(self.kind),
+                self.class_index)
+
 
 @dataclass(frozen=True)
 class CensusReport:
@@ -163,8 +168,7 @@ def census_by_group(params: ExtensionParams,
                 entries.append(_entry(nonabelian_label(c, False, j), c,
                                       "nonsplit", j, ns_each))
     entries = [e for e in entries if e.count != 0]
-    entries.sort(key=lambda e: (e.c, {"cyclic": 0, "split": 1, "nonsplit": 2}[e.kind],
-                                e.class_index))
+    entries.sort(key=CensusEntry.sort_key)
     ok = sum(e.count for e in entries) == total and all(e.count > 0 for e in entries)
     return CensusReport(total=total, case_tag=params.case_tag,
                         by_group=tuple(entries), identity_ok=ok)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .action import (AuxFieldData, constituents, default_aux_data,
-                     level_indices, pair_classes, residue_orbits)
+                     level_indices, pair_classes)
 from .arith import closure, factorize, multiplicative_order
 from .census import (CensusEntry, CensusReport, ExtensionParams,
                      census_by_group, cyclic_label, nonabelian_label)
@@ -317,7 +317,8 @@ def _nonsplit_class_index(space: VecSpace, elements: set[tuple], p: int,
     if ell == 2:
         return 1
     # Rare path (needs p = 1 mod ell): find the cyclic normal part C, then
-    # a coset element acting on it as the first Frobenius power; its ell-th
+    # a coset element acting on it as gamma -> gamma^(p^(ell-1)), as the
+    # catalog's V acts on T (V T V^-1 shifts the diagonal back); its ell-th
     # power is a scalar whose coset fixes the class index.
     order_c = sorted(g for g in elements
                      if _mat_order(space, g, c * ell, ident) == c)
@@ -328,7 +329,7 @@ def _nonsplit_class_index(space: VecSpace, elements: set[tuple], p: int,
     for g in order_c:
         if g not in cyc:
             raise InvariantError("maximal cyclic subgroup is not unique")
-    target = _mat_pow(space, gamma, p % c, ident)
+    target = _mat_pow(space, gamma, pow(p, ell - 1, c), ident)
     for g in sorted(elements):
         if g in cyc:
             continue
@@ -340,7 +341,7 @@ def _nonsplit_class_index(space: VecSpace, elements: set[tuple], p: int,
             if beta is None:
                 raise InvariantError("coset power is not scalar")
             return nonsplit_index(c, beta, p, ell)
-    raise InvariantError("no coset element acts as the first Frobenius power")
+    raise InvariantError("no coset element acts as the catalog's V")
 
 
 def _scalar_of(space: VecSpace, M: tuple):
@@ -514,15 +515,11 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
         taus = real.tau_images(i)
         vs = real.v_images()
         for cons in targets:
-            orbit = next(o for o in residue_orbits(
-                cons.beta_modulus, p % cons.beta_modulus if cons.beta_modulus > 1 else 0)
-                if o[0] == cons.beta_exp)
+            orbit, kdim = cons.beta_orbit, cons.level_dim_contribution
             kernel_rows = real.beta_kernel(i, cons.s, cons.beta_modulus, orbit)
-            expected_kdim = cons.w * cons.s * cons.multiplicity_in_level
-            if len(kernel_rows) != expected_kdim:
-                raise InvariantError(
-                    f"kernel dimension {len(kernel_rows)} != {expected_kdim} "
-                    f"at level {i}, beta orbit {orbit}")
+            if len(kernel_rows) != kdim:
+                raise InvariantError(f"kernel dimension {len(kernel_rows)} != "
+                                     f"{kdim} at level {i}, beta orbit {orbit}")
             sub = VecSpace(p, len(kernel_rows))
             kgens = _restricted_gens(space, kernel_rows, taus, vs, p)
             kmod = Module(p, len(kernel_rows), kgens)
@@ -601,8 +598,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
             label=label, c=first.c, kind=first.kind,
             class_index=first.class_index,
             count=sum(r.count for r in reps)))
-    entries.sort(key=lambda e: (e.c, {"cyclic": 0, "split": 1, "nonsplit": 2}[e.kind],
-                                e.class_index))
+    entries.sort(key=CensusEntry.sort_key)
     total = sum(e.count for e in entries)
     report = CensusReport(total=total, case_tag=params.case_tag,
                           by_group=tuple(entries), identity_ok=True)

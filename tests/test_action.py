@@ -1,12 +1,15 @@
 """Group/module bookkeeping: defaults, levels, constituents, classes."""
 
 from collections import Counter
+from dataclasses import asdict
+from math import gcd, lcm
 
 import pytest
 
 from padicext.action import (MetacyclicGroup, build_group, constituents,
                              default_aux_data, level_indices, make_aux_data,
                              pair_classes, span_profile)
+from padicext.arith import closure, multiplicative_order
 from padicext.census import ExtensionParams
 from padicext.errors import DomainError
 
@@ -70,7 +73,6 @@ def test_constituent_dimensions_q2():
 
 
 def test_constituent_dimension_law():
-    from math import gcd, lcm
     for (p, ell, ek, fk) in ((2, 3, 1, 1), (3, 2, 1, 1), (2, 3, 1, 3),
                              (3, 2, 1, 2), (2, 3, 2, 2)):
         aux = default_aux_data(ExtensionParams(p, ell, ek, fk))
@@ -135,3 +137,129 @@ def test_pair_classes_inertia_divisible_case():
     pcs = pair_classes(aux, dim_filter=3)
     assert len(pcs) == 16
     assert all(pc.d == 3 and pc.global_multiplicity == 3 for pc in pcs)
+
+
+# ---------------------------------------------------------------------------
+# the per-level and per-class derivations as they stood before the one
+# beta-piece table, kept as a literal reference at the larger points
+
+REFERENCE_POINTS = ((2, 3, 1, 1), (3, 2, 1, 1), (2, 3, 1, 3), (5, 2, 1, 2),
+                    (5, 3, 1, 1), (3, 5, 1, 1), (2, 7, 1, 1), (7, 3, 1, 1))
+
+
+def _ref_residue_orbits(m, mult):
+    seen = [False] * m
+    orbits = []
+    for b in range(m):
+        if seen[b]:
+            continue
+        orbit = [b]
+        seen[b] = True
+        x = b * mult % m
+        while x != b:
+            seen[x] = True
+            orbit.append(x)
+            x = x * mult % m
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def _ref_alpha(aux, i):
+    """(alpha_order, r, s, sorted q-orbit) of level i."""
+    e = aux.e_rel
+    t0 = i % e
+    alpha_order = e // gcd(e, t0) if t0 else 1
+    r = multiplicative_order(aux.p, alpha_order)
+    s = r // gcd(r, aux.f_k)
+    q = pow(aux.p, aux.f_k, e) if e > 1 else 0
+    orbit = [t0]
+    t = t0 * q % e
+    while t != t0:
+        orbit.append(t)
+        t = t * q % e
+    assert len(orbit) == s
+    return alpha_order, r, s, tuple(sorted(orbit))
+
+
+def _ref_constituents(i, aux):
+    p, f_k = aux.p, aux.f_k
+    alpha_order, r, s, q_orbit = _ref_alpha(aux, i)
+    m = aux.f_rel // s
+    out = []
+    for orbit in _ref_residue_orbits(m, p % m if m > 1 else 0):
+        b = orbit[0]
+        beta_order = m // gcd(m, b) if b else 1
+        w = multiplicative_order(p, beta_order)
+        assert w == len(orbit) or b == 0
+        g = gcd(r, f_k)
+        out.append(dict(
+            level=i, alpha_exp=min(q_orbit), beta_orbit=orbit, beta_modulus=m,
+            alpha_order=alpha_order, beta_order=beta_order, r=r, w=w, s=s,
+            d=lcm(w, g), dim_over_fp=lcm(r * w // g, r),
+            multiplicity_in_level=f_k, global_multiplicity=s * aux.e_k * f_k,
+            level_dim_contribution=w * s * f_k))
+    assert sum(c["level_dim_contribution"] for c in out) == aux.f_total
+    return out
+
+
+def _ref_pair_classes(aux):
+    """(dim, t, b, c, beta_order, s, d, levels, mult_by_level) per class."""
+    e, f, p, f_k = aux.e_rel, aux.f_rel, aux.p, aux.f_k
+    q = pow(p, f_k, e) if e > 1 else 0
+    levels = level_indices(aux)
+    alpha = {t: _ref_alpha(aux, t if t else e) for t in range(e)}
+    out = []
+    seen = set()
+    for t0 in range(e):
+        alpha_order, r, s, _ = alpha[t0]
+        m = f // s
+        for b0 in range(m):
+            if (t0, b0) in seen:
+                continue
+            orbit = closure((t0, b0), ((q, 1), (p, p)),
+                            lambda tb, g: (tb[0] * g[0] % e, tb[1] * g[1] % m),
+                            10 ** 6)
+            seen.update(orbit)
+            beta_order = m // gcd(m, b0) if b0 else 1
+            w = multiplicative_order(p, beta_order)
+            g = gcd(r, f_k)
+            d = lcm(w, g)
+            t_set = {t for t, _ in orbit}
+            class_levels, mults = [], []
+            for i in levels:
+                if i % e not in t_set:
+                    continue
+                q_orbit = set(alpha[i % e][3])
+                raw = f_k * sum(1 for (t, _) in orbit if t in q_orbit)
+                assert raw % (d * s) == 0
+                if raw:
+                    class_levels.append(i)
+                    mults.append(raw // (d * s))
+            out.append((lcm(r * w // g, r), *min(orbit),
+                        lcm(alpha_order, beta_order), beta_order, s, d,
+                        tuple(class_levels), tuple(mults)))
+    return out
+
+
+@pytest.mark.parametrize("point", REFERENCE_POINTS)
+def test_bookkeeping_matches_reference_derivation(point):
+    params = ExtensionParams(*point)
+    aux = default_aux_data(params)
+    ell = params.ell
+    ref_span = []
+    for i in level_indices(aux):
+        ref = _ref_constituents(i, aux)
+        got = constituents(i, aux)
+        assert [asdict(c) for c in got] == ref
+        assert all(c.beta_exp == c.beta_orbit[0] for c in got)
+        ref_span.append((i, sum(c["level_dim_contribution"] for c in ref
+                                if c["dim_over_fp"] == ell)))
+    assert span_profile(params, aux).per_level == tuple(ref_span)
+    ref_classes = _ref_pair_classes(aux)
+    for dim_filter in (None, ell):
+        want = sorted(row[1:] for row in ref_classes
+                      if dim_filter is None or row[0] == dim_filter)
+        got = sorted((pc.t, pc.b, pc.c, pc.beta_order, pc.s, pc.d, pc.levels,
+                      pc.mult_by_level)
+                     for pc in pair_classes(aux, dim_filter=dim_filter))
+        assert got == want

@@ -189,6 +189,22 @@ def test_nonsplit_representative_round_trips_through_classifier():
     assert got.label == "NA(4,ns1)"
 
 
+@pytest.mark.parametrize("p", [7, 13])
+def test_nonsplit_representatives_round_trip_at_ell_three(p):
+    # the classifier's coset element must act as the catalog's V does,
+    # T -> T^(p^-1), or the class index comes back negated
+    ctx = make_field(p, 3)
+    checked = 0
+    for entry in catalog(ExtensionParams(p, 3, 1, 1)):
+        if (entry.descriptor.kind != "nonsplit"
+                or entry.expected_matrix_order > 2000):
+            continue
+        gens = nonabelian_prime_field_model(ctx, entry.alpha, entry.beta)
+        assert classify_submodule(p, 3, gens).label == entry.descriptor.label
+        checked += 1
+    assert checked == 4
+
+
 def test_conjugation_identity_on_all_catalog_representatives():
     from padicext.ffield import make_field as mf
     for (p, ell, ek, fk) in ((2, 3, 1, 1), (3, 2, 1, 1), (5, 2, 1, 1)):

@@ -7,7 +7,7 @@ import pytest
 
 from padicext import oracle as oracle_module
 from padicext.action import (constituents, default_aux_data, level_indices,
-                             make_aux_data, residue_orbits)
+                             make_aux_data)
 from padicext.census import ExtensionParams
 from padicext.errors import CapacityError, DomainError, InvariantError
 from padicext.ffield import make_field
@@ -315,14 +315,10 @@ def _reference_beta_kernel(real, s, m, orbit):
 def _beta_kernel_args(real):
     """Every (s, modulus, orbit) oracle_census asks beta_kernel for, at any
     level (the kernel does not depend on the level)."""
-    p = real.p
     out = set()
     for i in level_indices(real.aux):
         for cons in constituents(i, real.aux):
-            m = cons.beta_modulus
-            orbit = next(o for o in residue_orbits(m, p % m if m > 1 else 0)
-                         if o[0] == cons.beta_exp)
-            out.add((cons.s, m, orbit))
+            out.add((cons.s, cons.beta_modulus, cons.beta_orbit))
     return sorted(out)
 
 
