@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 from .census import (CensusEntry, CensusReport, DegreeExponent,
                      ExtensionParams, census_by_group, census_identity_check,
                      degree_exponent, total_classes)
-from .action import (AuxFieldData, MetacyclicGroup, build_group, constituents,
-                     default_aux_data, level_indices, make_aux_data,
-                     pair_classes, span_profile)
+from .action import (AuxFieldData, constituents, default_aux_data,
+                     level_indices, make_aux_data, pair_classes, span_profile)
 from .arith import (factorize, order_pair_count, order_pair_product,
                     split_fraction)
 from .errors import CapacityError, DomainError, InvariantError

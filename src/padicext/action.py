@@ -19,6 +19,7 @@ from .census import ExtensionParams, degree_exponent
 from .errors import CapacityError, DomainError, InvariantError
 
 BOOKKEEPING_CAP = 10 ** 6  # max e*f for per-class enumeration
+SPAN_PROFILE_CAP = 10 ** 5  # max e_F and f_rel for the span profile
 
 DEFAULT_DERIVATION = "default_derivation"
 USER_OVERRIDE = "user_override"
@@ -99,60 +100,6 @@ def make_aux_data(params: ExtensionParams, e_rel: int, f_rel: int) -> AuxFieldDa
     return AuxFieldData(p=params.p, ell=params.ell, e_k=params.e_k,
                         f_k=params.f_k, e_rel=e_rel, f_rel=f_rel,
                         source=USER_OVERRIDE)
-
-
-# ---------------------------------------------------------------------------
-# the acting group
-
-@dataclass(frozen=True)
-class MetacyclicGroup:
-    """<tau, v | v tau v^-1 = tau^q, tau^e = 1, v^f = 1> as pairs
-    (a mod e, b mod f) with (a,b)*(a',b') = (a + q^b a', b + b')."""
-
-    e: int
-    f: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if pow(self.q, self.f, self.e) % self.e != 1 % self.e:
-            raise DomainError(f"q^f != 1 mod e for q={self.q}, e={self.e}, f={self.f}")
-
-    @property
-    def order(self) -> int:
-        return self.e * self.f
-
-    def identity(self) -> tuple[int, int]:
-        return (0, 0)
-
-    def tau(self) -> tuple[int, int]:
-        return (1 % self.e, 0)
-
-    def v(self) -> tuple[int, int]:
-        return (0, 1 % self.f)
-
-    def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        a, b = x
-        a2, b2 = y
-        return ((a + pow(self.q, b, self.e) * a2) % self.e, (b + b2) % self.f)
-
-    def inv(self, x: tuple[int, int]) -> tuple[int, int]:
-        a, b = x
-        qb = pow(self.q, b, self.e)
-        # inverse of q^b mod e exists since gcd(q, e) = 1
-        inv_qb = pow(qb, -1, self.e)
-        return ((-a * inv_qb) % self.e, (-b) % self.f)
-
-    def element_order(self, x: tuple[int, int]) -> int:
-        y = x
-        k = 1
-        while y != self.identity():
-            y = self.mul(y, x)
-            k += 1
-        return k
-
-
-def build_group(aux: AuxFieldData) -> MetacyclicGroup:
-    return MetacyclicGroup(e=aux.e_rel, f=aux.f_rel, q=aux.q)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +305,10 @@ def span_profile(params: ExtensionParams, aux: AuxFieldData) -> SpanProfile:
     """Per-level dimensions of the span of all irreducible submodules of
     dimension ell, from the beta pieces alone; the total is compared (not
     forced) against the closed degree exponent."""
-    if aux.e_total > 10 ** 5 or aux.f_rel > 10 ** 5:
-        raise CapacityError("span profile bookkeeping over capacity")
+    if aux.e_total > SPAN_PROFILE_CAP or aux.f_rel > SPAN_PROFILE_CAP:
+        raise CapacityError(
+            f"span profile needs e_F = {aux.e_total} and f_rel = {aux.f_rel} "
+            f"at most SPAN_PROFILE_CAP = {SPAN_PROFILE_CAP}")
     ell = params.ell
     per_level = []
     for i in level_indices(aux):

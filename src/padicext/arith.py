@@ -22,8 +22,8 @@ Factorization = tuple[tuple[int, int], ...]
 # complete below PRIMALITY_BOUND, the least strong pseudoprime to all of
 # them (Sorenson-Webster, Math. Comp. 2017); the rest extend no proof, so
 # is_prime and factorize refuse n >= PRIMALITY_BOUND.  This covers every
-# value this artifact actually factors (p^m - 1 with p^m below the
-# configured field ceilings).
+# value this artifact actually factors (p^m - 1 with p^m at most
+# ffield.FIELD_CEILING).
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
@@ -218,11 +218,29 @@ def multiplicative_order(a: int, n: int) -> int:
     a %= n
     if gcd(a, n) != 1:
         raise DomainError(f"{a} is not invertible mod {n}")
-    order = euler_phi(n)
-    for p, _ in factorize(order):
-        while order % p == 0 and pow(a, order // p, n) == 1:
-            order //= p
-    return order
+    return order(a, euler_phi(n), lambda x, k: pow(x, k, n), 1)
+
+
+def power(x, e: int, mul, one):
+    """x^e for e >= 0 by square-and-multiply under the law mul."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
+def order(x, n: int, pow_, one) -> int:
+    """Least k | n with pow_(x, k) == one, for x with x^n == one: n divided
+    by each prime of n while the power stays trivial."""
+    k = n
+    for q, _ in factorize(n):
+        while k % q == 0 and pow_(x, k // q) == one:
+            k //= q
+    return k
 
 
 def closure(start, gens, step, cap: int) -> set:

@@ -46,10 +46,6 @@ class ExtensionParams:
         return self.e_k * self.f_k
 
     @property
-    def q(self) -> int:
-        return self.p ** self.f_k
-
-    @property
     def ell_divides_fk(self) -> bool:
         return self.f_k % self.ell == 0
 

@@ -178,6 +178,7 @@ def _cmd_groups(args) -> int:
 def _cmd_module(args) -> int:
     params = _params_from(args)
     aux = _aux_from(args, params)
+    prof = span_profile(params, aux)  # refuses past its cap before the levels
     levels = level_indices(aux)
     cons = []
     for i in levels:
@@ -192,7 +193,6 @@ def _cmd_module(args) -> int:
                 "global_multiplicity": c.global_multiplicity,
                 "level_dim_contribution": c.level_dim_contribution,
             })
-    prof = span_profile(params, aux)
     result = {
         "levels": list(levels),
         "constituents": cons,
@@ -487,6 +487,12 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         return 0
     try:
+        if args.seed_parallelism < 1:
+            raise DomainError(f"--seed-parallelism must be at least 1, got "
+                              f"{args.seed_parallelism}")
+        if args.level_cap < 0:
+            raise DomainError(f"--level-cap must be at least 0, got "
+                              f"{args.level_cap}")
         return args.handler(args)
     except (DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

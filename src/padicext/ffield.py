@@ -18,13 +18,15 @@ guessed) beyond DLOG_CAP baby steps.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 
-from .arith import Factorization, factorize, is_prime
+from .arith import Factorization, factorize, is_prime, order, power
 from .errors import CapacityError, DomainError, InvariantError
 
-DEFAULT_CEILING = 1 << 32
+# The one bound on p^m: building GF(p^m) factors p^m - 1, and 2^64 keeps
+# that below arith.PRIMALITY_BOUND while admitting GF(2^63) for the oracle.
+FIELD_CEILING = 1 << 64
 DLOG_CAP = 1 << 16  # baby steps: logs in subgroups of order <= 2^32
 
 
@@ -78,16 +80,8 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _poly_pow_p(a: list[int], f: list[int], p: int) -> list[int]:
-    """a^p mod f by square-and-multiply on the exponent p."""
-    result = [1]
-    base = list(a)
-    e = p
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
+    """a^p mod f."""
+    return power(a, p, partial(_poly_mulmod, f=f, p=p), [1])
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
@@ -134,11 +128,10 @@ class FieldCtx:
             raise DomainError(f"characteristic {p} is not prime")
         if m < 1:
             raise DomainError(f"degree must be >= 1, got {m}")
-        order = p ** m
         self.p = p
         self.m = m
-        self.order = order
-        self.mult_order = order - 1
+        self.order = p ** m
+        self.mult_order = self.order - 1
         self.order_factorization: Factorization = (
             factorize(self.mult_order) if self.mult_order > 1 else ())
         self.modulus = self._find_modulus()
@@ -248,14 +241,7 @@ class FieldCtx:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(a, e, self.mul, 1)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -277,15 +263,10 @@ class FieldCtx:
         hit = self._order_memo.get(x)
         if hit is not None:
             return hit
-        order = self.mult_order
-        if order == 0:
-            return 1
-        for q, _ in self.order_factorization:
-            while order % q == 0 and self.pow(x, order // q) == 1:
-                order //= q
+        k = order(x, self.mult_order, self.pow, 1)
         if len(self._order_memo) < (1 << 16):
-            self._order_memo[x] = order
-        return order
+            self._order_memo[x] = k
+        return k
 
     def dlog(self, x: int) -> int:
         """k in [0, p^m - 1) with generator^k == x.
@@ -332,14 +313,13 @@ def _make_field_cached(p: int, m: int) -> FieldCtx:
     return FieldCtx(p, m)
 
 
-def make_field(p: int, m: int, ceiling: int = DEFAULT_CEILING) -> FieldCtx:
+def make_field(p: int, m: int) -> FieldCtx:
     """Canonical GF(p^m) context; repeated calls share one cached object.
-    The ceiling is checked here, before the cache: one context per
-    (p, m), whatever ceiling each caller passes."""
+    FIELD_CEILING is checked here, before the cache, and before p ** m is
+    taken when m alone puts p^m over it (p >= 2, so m > 64 does)."""
     if m < 1:
         raise DomainError(f"degree must be >= 1, got {m}")
-    if m > 256:  # before p ** m, which a huge m makes expensive
-        raise CapacityError(f"degree {m} exceeds the degree cap 256")
-    if p ** m > ceiling:
-        raise CapacityError(f"p^{m} = {p ** m} exceeds ceiling {ceiling}")
+    if m >= FIELD_CEILING.bit_length() or p ** m > FIELD_CEILING:
+        raise CapacityError(
+            f"GF({p}^{m}) exceeds FIELD_CEILING = 2^64 = {FIELD_CEILING}")
     return _make_field_cached(p, m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import closure, multiplicative_order
+from .arith import closure, multiplicative_order, power
 from .census import (ExtensionParams, census_by_group, cyclic_label,
                      nonabelian_label)
 from .errors import DomainError, InvariantError
@@ -27,7 +27,6 @@ from .ffield import FieldCtx, make_field
 from .linalg import VecSpace
 
 CLOSURE_CAP = 10 ** 5
-FIELD_CEILING = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def catalog(params: ExtensionParams,
     matrix representative; closure orders are computed when the expected
     order fits under the cap, otherwise left as None."""
     p, ell = params.p, params.ell
-    ctx = make_field(p, ell, ceiling=FIELD_CEILING)
+    ctx = make_field(p, ell)
     entries: list[CatalogEntry] = []
     for centry in census_by_group(params).by_group:
         c = centry.c
@@ -284,7 +283,5 @@ def frobenius_rep(ctx: FieldCtx, k: int = 1) -> list[int]:
     """x -> x^(p^k) as basis images over F_p: (x -> x^p)^(k mod m)."""
     space = VecSpace(ctx.p, ctx.m)
     step = [space.decode(ctx.frob(ctx.p ** j)) for j in range(ctx.m)]
-    out = [space.unit(j) for j in range(ctx.m)]
-    for _ in range(k % ctx.m):
-        out = space.compose(step, out)
-    return out
+    return power(step, k % ctx.m, space.compose,
+                 [space.unit(j) for j in range(ctx.m)])

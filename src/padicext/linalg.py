@@ -301,22 +301,6 @@ class VecSpace:
             return None
         return tuple(-aug.component(rest, j) % self.p for j in range(k))
 
-    def nullspace(self, rows) -> tuple:
-        """Canonical basis of {x : r . x = 0 for all r in rows} where the
-        dot product is coordinatewise over F_p."""
-        pivots = {self.pivot(r): r for r in self.canon(rows)}
-        out = []
-        for j in range(self.n):
-            if j in pivots:
-                continue
-            vec = self.unit(j)
-            for piv, r in pivots.items():
-                c = self.component(r, j)
-                if c:
-                    vec |= (self.p - c) << (piv * self.w)
-            out.append(vec)
-        return self.canon(out)
-
 
 def restrict_map(space: VecSpace, block_rows: list, images: list,
                  sub: VecSpace) -> list:

@@ -23,7 +23,7 @@ from functools import partial
 
 from .action import (AuxFieldData, constituents, default_aux_data,
                      level_indices, pair_classes)
-from .arith import closure, factorize, multiplicative_order
+from .arith import closure, multiplicative_order, order, power
 from .census import (CensusEntry, CensusReport, ExtensionParams,
                      census_by_group, cyclic_label, nonabelian_label)
 from .errors import CapacityError, DomainError, InvariantError
@@ -35,11 +35,6 @@ from .linalg import VecSpace, restrict_map
 EXHAUSTIVE_CAP = 1 << 24
 SPIN_DIM_CAP = 64
 BLOCK_CAP = 1 << 18  # blocks re-counted by exhaustive spinning
-# the real tractability gates are SPIN_DIM_CAP and the bookkeeping caps;
-# field arithmetic is polynomial-based, so the order is bounded only by
-# factoring p^m - 1 soundly: 2^64 admits GF(2^64) at the spin cap and
-# stays below 3.317e24, where arith.is_prime's fixed witnesses are proven
-ORACLE_FIELD_CEILING = 1 << 64
 PARALLEL_MIN_SEEDS = 4096  # smaller scans stay in the calling process
 # contiguous seed ranges per worker: the work per seed is uneven across
 # [1, p^dim), so one range each leaves a worker idle at the end
@@ -203,34 +198,29 @@ def hom_basis(p: int, gens_x: list[list], gens_y: list[list],
               dim_x: int, dim_y: int) -> tuple:
     """Basis of equivariant linear maps X -> Y, given generator images on
     each side (same generator order).  Nonzero space <=> isomorphic, for
-    irreducible modules of equal dimension."""
+    irreducible modules of equal dimension; dim End(X) is the
+    field-of-definition degree for the irreducible modules handled here.
+
+    T[i][j] is coordinate j*dim_y + i.  The basis is the kernel of
+    T -> (T gx - gy T) over all generators, one block of dim_x*dim_y lanes
+    per generator, taken on the images of the matrix units E_ij."""
     n = dim_x * dim_y
-    big = VecSpace(p, n)
+    gens = list(zip(gens_x, gens_y))
+    maps = VecSpace(p, n)
     sx = VecSpace(p, dim_x)
-    sy = VecSpace(p, dim_y)
-    rows = []
-    for gx, gy in zip(gens_x, gens_y):
-        for j0 in range(dim_x):
-            # entry (i0, j0) of T gx - gy T; T[i][j] is coordinate j*dim_y + i
-            for i0 in range(dim_y):
-                coeffs = [0] * n
-                for j in range(dim_x):
-                    coeffs[j * dim_y + i0] += sx.component(gx[j0], j)
-                for i in range(dim_y):
-                    coeffs[j0 * dim_y + i] -= sy.component(gy[i], i0)
-                rows.append(big.from_coords(coeffs))
-    return big.nullspace(rows)
-
-
-def modules_isomorphic(p: int, gens_x: list[list], gens_y: list[list],
-                       dim: int) -> bool:
-    return len(hom_basis(p, gens_x, gens_y, dim, dim)) > 0
-
-
-def endomorphism_degree(p: int, gens: list[list], dim: int) -> int:
-    """dim_Fp End(X); equals the field-of-definition degree for the
-    irreducible modules handled here."""
-    return len(hom_basis(p, gens, gens, dim, dim))
+    w = maps.w
+    images = [0] * n  # the image of E_ij is images[j*dim_y + i]
+    for g, (gx, gy) in enumerate(gens):
+        neg_gy = [maps.smul(-1, v) for v in gy]
+        for j in range(dim_x):
+            # E_ij gx has row i equal to row j of gx; gy E_ij has column j
+            # equal to gy[i]
+            row = sum(sx.component(gx[j0], j) << (j0 * dim_y * w)
+                      for j0 in range(dim_x))
+            for i in range(dim_y):
+                img = maps.add(row << (i * w), neg_gy[i] << (j * dim_y * w))
+                images[j * dim_y + i] |= img << (g * n * w)
+    return VecSpace(p, n * max(1, len(gens))).kernel(images)
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +237,6 @@ class ClassifiedGroup:
 
 def _mat_mul(space: VecSpace, A: tuple, B: tuple) -> tuple:
     return tuple(space.compose(A, B))
-
-
-def _mat_pow(space: VecSpace, A: tuple, e: int, ident: tuple) -> tuple:
-    result = ident
-    base = A
-    while e:
-        if e & 1:
-            result = _mat_mul(space, result, base)
-        base = _mat_mul(space, base, base)
-        e >>= 1
-    return result
-
-
-def _mat_order(space: VecSpace, A: tuple, group_order: int, ident: tuple) -> int:
-    order = group_order
-    for q, _ in factorize(group_order):
-        while order % q == 0 and _mat_pow(space, A, order // q, ident) == ident:
-            order //= q
-    return order
 
 
 def matrix_group_elements(p: int, dim: int, gen_images: list[list]) -> set[tuple]:
@@ -289,30 +260,31 @@ def classify_submodule(p: int, ell: int, gen_images: list[list]) -> ClassifiedGr
     space = VecSpace(p, ell)
     gens = [tuple(g) for g in gen_images]
     ident = tuple(space.unit(j) for j in range(ell))
-    abelian = all(_mat_mul(space, a, b) == _mat_mul(space, b, a)
-                  for a in gens for b in gens)
+    mul = partial(_mat_mul, space)
+    pow_ = partial(power, mul=mul, one=ident)
+    abelian = all(mul(a, b) == mul(b, a) for a in gens for b in gens)
     elements = matrix_group_elements(p, ell, gens)
     n = len(elements)
     if abelian:
-        if not any(_mat_order(space, g, n, ident) == n for g in elements):
+        if not any(order(g, n, pow_, ident) == n for g in elements):
             raise InvariantError(
                 f"abelian image of order {n} is not cyclic; no descriptor fits")
         return ClassifiedGroup("cyclic", n, 0, n, cyclic_label(n))
     if n % ell != 0:
         raise InvariantError(f"nonabelian image order {n} not divisible by {ell}")
     c = n // ell
-    ell_torsion = sum(1 for g in elements if _mat_pow(space, g, ell, ident) == ident)
+    ell_torsion = sum(1 for g in elements if pow_(g, ell) == ident)
     if ell_torsion > ell:
         return ClassifiedGroup("split", c, 0, n, nonabelian_label(c, True))
     if ell_torsion != ell:
         raise InvariantError(
             f"nonabelian image has {ell_torsion} solutions of g^ell=1; "
             f"no descriptor fits")
-    j = _nonsplit_class_index(space, elements, p, ell, c, ident)
+    j = _nonsplit_class_index(space, mul, elements, p, ell, c, ident)
     return ClassifiedGroup("nonsplit", c, j, n, nonabelian_label(c, False, j))
 
 
-def _nonsplit_class_index(space: VecSpace, elements: set[tuple], p: int,
+def _nonsplit_class_index(space: VecSpace, mul, elements: set[tuple], p: int,
                           ell: int, c: int, ident: tuple) -> int:
     if ell == 2:
         return 1
@@ -320,24 +292,23 @@ def _nonsplit_class_index(space: VecSpace, elements: set[tuple], p: int,
     # a coset element acting on it as gamma -> gamma^(p^(ell-1)), as the
     # catalog's V acts on T (V T V^-1 shifts the diagonal back); its ell-th
     # power is a scalar whose coset fixes the class index.
+    pow_ = partial(power, mul=mul, one=ident)
     order_c = sorted(g for g in elements
-                     if _mat_order(space, g, c * ell, ident) == c)
+                     if order(g, c * ell, pow_, ident) == c)
     if not order_c:
         raise InvariantError("no element of maximal cyclic order")
     gamma = order_c[0]
-    cyc = {_mat_pow(space, gamma, k, ident) for k in range(c)}
+    cyc = closure(ident, (gamma,), mul, CLOSURE_CAP)
     for g in order_c:
         if g not in cyc:
             raise InvariantError("maximal cyclic subgroup is not unique")
-    target = _mat_pow(space, gamma, pow(p, ell - 1, c), ident)
+    target = pow_(gamma, pow(p, ell - 1, c))
     for g in sorted(elements):
         if g in cyc:
             continue
-        conj = _mat_mul(space, _mat_mul(space, g, gamma),
-                        _mat_pow(space, g, c * ell - 1, ident))
+        conj = mul(mul(g, gamma), pow_(g, c * ell - 1))
         if conj == target:
-            power = _mat_pow(space, g, ell, ident)
-            beta = _scalar_of(space, power)
+            beta = _scalar_of(space, pow_(g, ell))
             if beta is None:
                 raise InvariantError("coset power is not scalar")
             return nonsplit_index(c, beta, p, ell)
@@ -370,7 +341,7 @@ class LevelRealization:
         if self.dim > SPIN_DIM_CAP:
             raise CapacityError(
                 f"residue field degree {self.dim} exceeds the spin cap")
-        self.kappa: FieldCtx = make_field(p, self.dim, ceiling=ORACLE_FIELD_CEILING)
+        self.kappa: FieldCtx = make_field(p, self.dim)
         self.zeta = self.kappa.root_of_unity(aux.e_rel)
         self.space = VecSpace(p, self.dim)
         # v = x -> x^(p^f_K) on the coordinate basis x^j, built once
@@ -399,7 +370,7 @@ class LevelRealization:
         if m == 1 or orbit == (0,):
             return [(-1) % p, 1]
         deg = multiplicative_order(p, m)
-        aux_field = make_field(p, deg, ceiling=ORACLE_FIELD_CEILING)
+        aux_field = make_field(p, deg)
         xi = aux_field.root_of_unity(m)
         poly = [1]
         for b in orbit:
@@ -420,16 +391,15 @@ class LevelRealization:
     def beta_kernel(self, i: int, s: int, m: int, orbit: tuple[int, ...]) -> tuple:
         """Canonical basis of ker m_B(v^s) inside level i (as ambient rows)."""
         space = self.space
-        vs = power = [space.unit(j) for j in range(self.dim)]
-        for _ in range(s):
-            vs = space.compose(self._v, vs)
-        images = [0] * self.dim  # m_B(v^s), power running through (v^s)^k
+        vk = ident = [space.unit(j) for j in range(self.dim)]
+        vs = power(self._v, s, space.compose, ident)
+        images = [0] * self.dim  # m_B(v^s), vk running through (v^s)^k
         for k, ck in enumerate(self.beta_min_poly(m, orbit)):
             if k:
-                power = space.compose(vs, power)
+                vk = space.compose(vs, vk)
             if ck:
                 images = [space.add(a, space.smul(ck, b))
-                          for a, b in zip(images, power)]
+                          for a, b in zip(images, vk)]
         return space.kernel(images)
 
 
@@ -477,7 +447,7 @@ class _PhysicalClass:
         self.mults: list[int] = []
         self.span_by_level: dict[int, tuple] = {}
         self.kernel_by_level: dict[int, tuple] = {}
-        self.d = endomorphism_degree(p, rep_gens, dim)
+        self.d = len(hom_basis(p, rep_gens, rep_gens, dim, dim))
 
 
 def _restricted_gens(space: VecSpace, rows: tuple, taus: list, vs: list,
@@ -533,7 +503,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
             for rows in subs:
                 sgens = _restricted_gens(sub, rows, kgens[0], kgens[1], p)
                 for rep_gens, members in groups:
-                    if modules_isomorphic(p, sgens, rep_gens, ell):
+                    if hom_basis(p, sgens, rep_gens, ell, ell):
                         members.append(rows)
                         break
                 else:
@@ -545,8 +515,8 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
                 mult_here = len(span_rows) // ell
                 target_cls = None
                 for cls in classes:
-                    if cls.dim == ell and modules_isomorphic(
-                            p, rep_gens, cls.rep_gens, ell):
+                    if cls.dim == ell and hom_basis(
+                            p, rep_gens, cls.rep_gens, ell, ell):
                         target_cls = cls
                         break
                 if target_cls is None:

@@ -104,10 +104,6 @@ class RamificationProfile:
         """|G_0| = p^d * e_rel (wild part times tame inertia)."""
         return self.p ** self.d * self.e_rel
 
-    @property
-    def full_order(self) -> int:
-        return self.p ** self.d * self.e_rel * self.f_rel
-
 
 def jump_schedule(inputs: WildInputs) -> RamificationProfile:
     """Lower-numbering schedule and sizes, flagged (not repaired) when the

@@ -6,9 +6,8 @@ from math import gcd, lcm
 
 import pytest
 
-from padicext.action import (MetacyclicGroup, build_group, constituents,
-                             default_aux_data, level_indices, make_aux_data,
-                             pair_classes, span_profile)
+from padicext.action import (constituents, default_aux_data, level_indices,
+                             make_aux_data, pair_classes, span_profile)
 from padicext.arith import closure, multiplicative_order
 from padicext.census import ExtensionParams
 from padicext.errors import DomainError
@@ -40,19 +39,6 @@ def test_aux_invariants_validated():
         make_aux_data(params, e_rel=7, f_rel=2)     # tameness broken
     aux = make_aux_data(params, e_rel=7, f_rel=3)
     assert aux.source == "user_override"
-
-
-def test_metacyclic_group_relations():
-    aux = default_aux_data(ExtensionParams(2, 3, 1, 1))
-    H = build_group(aux)
-    assert H.order == 147  # 7 * 21
-    tau, v = H.tau(), H.v()
-    # defining relation v tau v^-1 = tau^q with q = 2
-    assert H.mul(H.mul(v, tau), H.inv(v)) == (2, 0)
-    assert H.element_order(tau) == 7
-    assert H.element_order(v) == 21
-    trivial = MetacyclicGroup(1, 1, 0)
-    assert trivial.order == 1 and trivial.mul((0, 0), (0, 0)) == (0, 0)
 
 
 def test_level_indices():

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicext.arith import (PRIMALITY_BOUND, divisors, euler_phi, factorize,
-                            is_prime, multiplicative_order, order_pair_count,
-                            order_pair_product, split_fraction, valuation)
+                            is_prime, multiplicative_order, order,
+                            order_pair_count, order_pair_product, power,
+                            split_fraction, valuation)
 from padicext.errors import CapacityError, DomainError
+from padicext.ffield import make_field
+from padicext.linalg import VecSpace
 
 
 def brute_pair_count(a: int, b: int) -> int:
@@ -182,3 +185,68 @@ def test_valuation_and_order_helpers():
     assert multiplicative_order(3, 8) == 2
     with pytest.raises(DomainError):
         multiplicative_order(2, 4)
+
+
+# --- the one power and the one order routine --------------------------------
+
+def brute_order(x, mul, one) -> int:
+    """Least k >= 1 with x^k == one, by walking the powers of x."""
+    k, y = 1, x
+    while y != one:
+        y = mul(y, x)
+        k += 1
+    return k
+
+
+def test_power_and_order_on_units_mod_n():
+    rng = random.Random(9)
+    for n in range(2, 501):
+        mul = lambda a, b: a * b % n  # noqa: E731
+        units = [a for a in range(1, n) if gcd(a, n) == 1]
+        phi = euler_phi(n)
+        for a in rng.sample(units, min(4, len(units))):
+            for e in (0, 1, 2, rng.randrange(3, 4 * n)):
+                assert power(a, e, mul, 1) == pow(a, e, n), (a, e, n)
+            want = brute_order(a, mul, 1)
+            assert order(a, phi, lambda x, k: pow(x, k, n), 1) == want
+            assert multiplicative_order(a, n) == want
+
+
+def _random_invertible(space, rng):
+    while True:
+        images = [rng.randrange(space.p ** space.n) for _ in range(space.n)]
+        images = [space.decode(v) for v in images]
+        if not space.kernel(images):
+            return images
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_power_and_order_on_prime_field_matrices(p, d):
+    rng = random.Random(100 * p + d)
+    space = VecSpace(p, d)
+    ident = [space.unit(j) for j in range(d)]
+    gl_order = 1
+    for j in range(d):
+        gl_order *= p ** d - p ** j
+    for _ in range(12):
+        a = _random_invertible(space, rng)
+        walk = ident
+        for e in range(20):
+            assert power(a, e, space.compose, ident) == walk, (a, e)
+            walk = space.compose(a, walk)
+        pow_ = lambda x, k: power(x, k, space.compose, ident)  # noqa: E731
+        assert order(a, gl_order, pow_, ident) == \
+            brute_order(a, space.compose, ident)
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (5, 2), (7, 2), (13, 1)])
+def test_power_and_order_in_finite_fields(p, m):
+    ctx = make_field(p, m)
+    rng = random.Random(p ** m)
+    for x in [1, ctx.generator] + [rng.randrange(1, ctx.order) for _ in range(10)]:
+        walk = 1
+        for e in range(30):
+            assert ctx.pow(x, e) == walk, (x, e)
+            walk = ctx.mul(walk, x)
+        assert ctx.element_order(x) == brute_order(x, ctx.mul, 1)
+        assert ctx.mul(x, ctx.pow(x, -1)) == 1

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from padicext import cli, ramify
+from padicext.action import constituents
 from padicext.arith import OUTPUT_DIGIT_CAP
 from padicext.census import ExtensionParams, census_by_group
 from padicext.errors import CapacityError
@@ -136,6 +137,38 @@ def test_usage_errors_exit_one():
                    "--fK", "1", "--bogus-flag").returncode == 1
     assert run_cli("count", "--p", "3", "--ell", "3", "--eK", "1",
                    "--fK", "1").returncode == 1
+
+
+@pytest.mark.parametrize("command", ["count", "oracle"])
+@pytest.mark.parametrize("flag,value", [("--seed-parallelism", "-3"),
+                                        ("--seed-parallelism", "0"),
+                                        ("--level-cap", "-5")])
+def test_nonsensical_counts_are_usage_errors(command, flag, value):
+    proc = run_cli(command, "--p", "2", "--ell", "3", "--eK", "1", "--fK", "1",
+                   flag, value)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines()
+            if line.startswith("error:") and flag in line and value in line]
+
+
+def test_module_refuses_the_span_cap_before_building_constituents(
+        monkeypatch, capsys):
+    calls = []
+
+    def counting(i, aux):
+        calls.append(i)
+        return constituents(i, aux)
+
+    monkeypatch.setattr(cli, "constituents", counting)
+    # e_F = 7 * 15000 = 105000, over SPAN_PROFILE_CAP = 10^5
+    code = cli.main(["module", "--p", "2", "--ell", "3", "--eK", "15000",
+                     "--fK", "1"])
+    assert code == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "SPAN_PROFILE_CAP = 100000" in err and "e_F = 105000" in err
 
 
 def test_p_equals_ell_flag():

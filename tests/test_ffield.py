@@ -6,8 +6,9 @@ import pytest
 
 from padicext.arith import divisors, euler_phi, factorize
 from padicext.errors import CapacityError, DomainError
-from padicext.ffield import (DLOG_CAP, FieldCtx, _is_irreducible, _poly_gcd,
-                             _poly_pow_p, _poly_trim, make_field)
+from padicext.ffield import (DLOG_CAP, FIELD_CEILING, FieldCtx,
+                             _is_irreducible, _poly_gcd, _poly_pow_p,
+                             _poly_trim, make_field)
 
 GRID = [(2, 2), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 2), (5, 3),
         (7, 2), (11, 2), (13, 2)]
@@ -24,7 +25,7 @@ def test_canonical_moduli():
     f316 = make_field(3, 16)
     assert f316.modulus == (1, 0, 1, 1) + (0,) * 12 + (1,)     # x^16+x^3+x^2+1
     assert f316.generator == 4
-    f524 = make_field(5, 24, ceiling=5 ** 24)
+    f524 = make_field(5, 24)
     assert f524.modulus == (1, 4) + (0, 1) + (0,) * 20 + (1,)  # x^24+x^3+4x+1
     assert f524.generator == 6
 
@@ -101,10 +102,11 @@ def test_construction_is_bit_identical():
 
 
 def test_capacity_ceiling():
-    with pytest.raises(CapacityError):
-        make_field(2, 42)  # default ceiling 2^32
-    big = make_field(2, 42, ceiling=1 << 52)
-    assert big.element_order(big.root_of_unity(7)) == 7
+    assert FIELD_CEILING == 1 << 64
+    big = make_field(2, 64)  # exactly at the ceiling
+    assert big.order == FIELD_CEILING
+    assert big.element_order(big.root_of_unity(641)) == 641
+    assert make_field(3, 40).order == 3 ** 40  # 3^40 ~ 2^63.4
 
 
 def test_element_order_of_zero_rejected():
@@ -113,17 +115,13 @@ def test_element_order_of_zero_rejected():
         ctx.element_order(0)
 
 
-def test_ceiling_is_the_callers_not_a_fixed_one():
-    # the cache is keyed on (p, m) alone; a ceiling above 2^62 must still
-    # admit fields above 2^62
-    big = make_field(2, 64, ceiling=2 ** 96)
-    assert big.order == 2 ** 64
-    with pytest.raises(CapacityError, match=str(2 ** 96)):
-        make_field(2, 100, ceiling=2 ** 96)
-    with pytest.raises(CapacityError):
-        make_field(2, 64)  # the default ceiling still applies to a cached field
-    with pytest.raises(CapacityError, match="degree 300"):
-        make_field(2, 300, ceiling=2 ** 400)  # under the ceiling, over the degree cap
+def test_one_field_ceiling_refuses_just_past_2_64():
+    # 2^65 and 3^41 ~ 2^65.0 are the least orders past the ceiling; m >= 65
+    # is refused before p ** m is taken, which a huge m would make slow
+    for p, m in ((2, 65), (3, 41), (2, 300), (101, 10 ** 9)):
+        with pytest.raises(CapacityError,
+                           match=f"FIELD_CEILING = 2\\^64 = {FIELD_CEILING}"):
+            make_field(p, m)
 
 
 @pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (5, 2)])
@@ -144,7 +142,7 @@ def test_dlog_refuses_exactly_the_orders_above_2_32():
     x = 0xDEADBEEF
     assert ctx.pow(ctx.generator, ctx.dlog(x)) == x
     # GF(2^33): order 2^33 - 1 needs 92,682 baby steps; refused, not guessed
-    big = make_field(2, 33, ceiling=1 << 33)
+    big = make_field(2, 33)
     with pytest.raises(CapacityError, match="order 8589934591.*cap 65536"):
         big.dlog(big.generator)
     # a small subgroup of the same field is still answered
@@ -211,7 +209,7 @@ def test_ben_or_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(20261018)
-    cases = [(5, list(make_field(5, 24, ceiling=5 ** 24).modulus)),
+    cases = [(5, list(make_field(5, 24).modulus)),
              (3, list(make_field(3, 16).modulus))]
     for p in (2, 3, 5, 7, 11):
         for deg in range(2, 17):

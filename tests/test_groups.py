@@ -330,7 +330,7 @@ def test_closure_when_coefficient_order_exceeds_group_order():
 
 def test_closure_refuses_a_discrete_log_beyond_its_cap():
     # a coefficient of order 2^40 - 1 needs 2^20 baby steps
-    ctx = make_field(2, 40, ceiling=1 << 40)
+    ctx = make_field(2, 40)
     x = ctx.generator
     v = MonomialMatrix(2, 1, (x, ctx.inv(x)))
     with pytest.raises(CapacityError, match="baby steps"):

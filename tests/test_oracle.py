@@ -10,10 +10,10 @@ from padicext.action import (constituents, default_aux_data, level_indices,
                              make_aux_data)
 from padicext.census import ExtensionParams
 from padicext.errors import CapacityError, DomainError, InvariantError
-from padicext.ffield import make_field
+from padicext.ffield import FIELD_CEILING, make_field
 from padicext.linalg import VecSpace
-from padicext.oracle import (ORACLE_FIELD_CEILING, LevelRealization, Module,
-                             classify_submodule,
+from padicext.oracle import (LevelRealization, Module, classify_submodule,
+                             hom_basis,
                              enumerate_irreducible_submodules, oracle_census,
                              spin, subspace_count_law)
 
@@ -177,14 +177,73 @@ def test_enumerate_capacity_error_mentions_fallback():
 def test_residue_field_ceiling_stays_within_proven_primality():
     # building GF(p^m) factors p^m - 1 with fixed-witness Miller-Rabin,
     # proven only below 3.317e24
-    assert ORACLE_FIELD_CEILING <= 3_317_044_064_679_887_385_961_981
+    assert FIELD_CEILING <= 3_317_044_064_679_887_385_961_981
     params = ExtensionParams(3, 2, 1, 1)
     # f_total = 56 is inside the spin cap, but 3^56 ~ 2^88.8 is refused
-    with pytest.raises(CapacityError, match=str(ORACLE_FIELD_CEILING)):
+    with pytest.raises(CapacityError, match=str(FIELD_CEILING)):
         LevelRealization(params, make_aux_data(params, 8, 56))
     # 3^40 ~ 2^63.4 is admitted
     real = LevelRealization(params, make_aux_data(params, 8, 40))
     assert real.kappa.order == 3 ** 40
+
+
+def _columns(space_y: VecSpace, t: int, dim_x: int) -> list:
+    """The columns T e_j of a map in hom_basis coordinates (T[i][j] is
+    coordinate j*dim_y + i)."""
+    block = space_y.n * space_y.w
+    return [(t >> (j * block)) & ((1 << block) - 1) for j in range(dim_x)]
+
+
+def _equivariant(space_y, t, gens_x, gens_y, dim_x) -> bool:
+    cols = _columns(space_y, t, dim_x)
+    return all(space_y.compose(cols, gx) == space_y.compose(gy, cols)
+               for gx, gy in zip(gens_x, gens_y))
+
+
+def _random_images(space, rng):
+    return [space.decode(rng.randrange(space.p ** space.n))
+            for _ in range(space.n)]
+
+
+def _conjugate(space, P, g):
+    """P g P^-1, for P invertible."""
+    P_inv = [space.from_coords(space.solve(P, space.unit(j)))
+             for j in range(space.n)]
+    return space.compose(P, space.compose(g, P_inv))
+
+
+HOM_SHAPES = [(p, dx, dy) for p in (2, 3, 5, 7) for dx in range(1, 6)
+              for dy in range(1, 6) if p ** (dx * dy) <= 729]
+
+
+@pytest.mark.parametrize("p,dim_x,dim_y", HOM_SHAPES)
+def test_hom_basis_matches_brute_force_count(p, dim_x, dim_y):
+    rng = random.Random(1000 * p + 10 * dim_x + dim_y)
+    sx, sy = VecSpace(p, dim_x), VecSpace(p, dim_y)
+    maps = VecSpace(p, dim_x * dim_y)
+    for trial in range(12):
+        k = 1 + trial % 3
+        gens_x = [_random_images(sx, rng) for _ in range(k)]
+        P = None
+        if dim_x == dim_y and trial % 2:
+            # Y is X conjugated by an invertible P, so P is equivariant
+            while P is None or sx.kernel(P):
+                P = _random_images(sx, rng)
+            gens_y = [_conjugate(sx, P, g) for g in gens_x]
+        elif dim_x == dim_y and trial % 4 == 2:
+            gens_y = gens_x  # End(X) holds at least the scalars
+        else:
+            gens_y = [_random_images(sy, rng) for _ in range(k)]
+        basis = hom_basis(p, gens_x, gens_y, dim_x, dim_y)
+        brute = sum(1 for t in range(p ** (dim_x * dim_y))
+                    if _equivariant(sy, maps.decode(t), gens_x, gens_y, dim_x))
+        assert p ** len(basis) == brute, (gens_x, gens_y)
+        assert maps.canon(basis) == basis
+        for t in basis:
+            assert _equivariant(sy, t, gens_x, gens_y, dim_x)
+        if P is not None:
+            t_p = sum(col << (j * dim_y * maps.w) for j, col in enumerate(P))
+            assert maps.reduce(t_p, list(basis)) == 0
 
 
 def test_classify_cyclic_and_nonabelian():
