@@ -316,7 +316,7 @@ def span_profile(params: ExtensionParams, aux: AuxFieldData) -> SpanProfile:
         per_level.append(
             (i, sum(pc.w for pc in pieces if pc.dim_over_fp == ell) * ad.s * aux.f_k))
     total = sum(d for _, d in per_level)
-    d_exp = degree_exponent(params).exponent
+    d_exp = degree_exponent(params)
     return SpanProfile(per_level=tuple(per_level), total=total,
                        degree_exp=d_exp,
                        matches_degree_exponent=(total == d_exp))

@@ -79,14 +79,6 @@ class CensusReport:
         return {e.label: e.count for e in self.by_group}
 
 
-@dataclass(frozen=True)
-class DegreeExponent:
-    """p^exponent kept unexpanded; exponent = ell * (generator count)."""
-
-    base: int
-    exponent: int
-
-
 def _exact_div(num: int, den: int, what: str) -> int:
     if num % den != 0:
         raise InvariantError(f"non-exact division in {what}: {num}/{den}")
@@ -116,14 +108,12 @@ def total_classes(params: ExtensionParams) -> int:
     return _exact_div(geom * weight, ell, "total_classes division by ell")
 
 
-def degree_exponent(params: ExtensionParams) -> DegreeExponent:
-    """Exponent d of the compositum degree over the splitting field."""
+def degree_exponent(params: ExtensionParams) -> int:
+    """Exponent d of the compositum degree p^d over the splitting field."""
     p, ell, n = params.p, params.ell, params.n_k
     if params.ell_divides_fk:
-        d = ((p ** ell - 1) ** 2 - (p - 1) ** 2) * n
-    else:
-        d = (ell + 1) * (p ** ell - p) * (p - 1) * n
-    return DegreeExponent(base=p, exponent=d)
+        return ((p ** ell - 1) ** 2 - (p - 1) ** 2) * n
+    return (ell + 1) * (p ** ell - p) * (p - 1) * n
 
 
 def _eligible_orders(params: ExtensionParams) -> list[int]:

@@ -123,9 +123,11 @@ def _print_plain(obj, indent: int = 0) -> None:
         print(f"{pad}{obj}")
 
 
-def _params_csv_key(params: ExtensionParams) -> str:
-    return (f"p={params.p};ell={params.ell};eK={params.e_k};"
-            f"fK={params.f_k}")
+def _csv_table(rows) -> list[tuple]:
+    """The `params,label,count` table of (params, label, count) rows."""
+    return [("params", "label", "count")] + [
+        (f"p={q.p};ell={q.ell};eK={q.e_k};fK={q.f_k}", label, count)
+        for q, label, count in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +141,9 @@ def _cmd_count(args) -> int:
         "params": _params_block(params),
         "result": _census_block(report),
     }
-    csv_rows = [("params", "label", "count")]
-    key = _params_csv_key(params)
-    for e in report.by_group:
-        csv_rows.append((key, e.label, e.count))
-    csv_rows.append((key, "TOTAL", report.total))
-    _emit(envelope, args.format, csv_rows)
+    _emit(envelope, args.format, _csv_table(
+        [(params, e.label, e.count) for e in report.by_group]
+        + [(params, "TOTAL", report.total)]))
     return EXIT_OK if report.identity_ok else EXIT_DISAGREE
 
 
@@ -167,11 +166,8 @@ def _cmd_groups(args) -> int:
         })
     envelope = {"command": "groups", "params": _params_block(params),
                 "result": result}
-    csv_rows = [("params", "label", "count")]
-    key = _params_csv_key(params)
-    for e in entries:
-        csv_rows.append((key, e.descriptor.label, e.full_order))
-    _emit(envelope, args.format, csv_rows)
+    _emit(envelope, args.format, _csv_table(
+        (params, e.descriptor.label, e.full_order) for e in entries))
     return EXIT_OK
 
 
@@ -240,11 +236,8 @@ def _cmd_oracle(args) -> int:
                 "finv": _finv_block(aux), "result": result}
     if not oc.matches_closed_form:
         envelope["disagreements"] = ["oracle_vs_closed_form"]
-    csv_rows = [("params", "label", "count")]
-    key = _params_csv_key(params)
-    for e in oc.report.by_group:
-        csv_rows.append((key, e.label, e.count))
-    _emit(envelope, args.format, csv_rows)
+    _emit(envelope, args.format, _csv_table(
+        (params, e.label, e.count) for e in oc.report.by_group))
     return EXIT_OK if oc.matches_closed_form else EXIT_DISAGREE
 
 
@@ -272,7 +265,7 @@ def _ramify_block(inputs: WildInputs) -> dict:
         return block
     profile = disc.profile
     block.update({
-        "schedule_t": list(profile.schedule.t),
+        "schedule_t": list(profile.t),
         "jumps": list(profile.jumps),
         "jump_count": len(profile.jumps),
         "segments": [{"lo": lo, "hi": hi, "wild_exponent": ex}
@@ -344,6 +337,7 @@ def _cmd_crosscheck(args) -> int:
     wanted = {k: getattr(args, k) for k in ("p", "ell", "eK", "fK")
               if getattr(args, k) is not None}
     verdicts = []
+    csv_rows = []
     all_match = True
     matched_any = False
     for idx, rec in enumerate(records):
@@ -368,7 +362,7 @@ def _cmd_crosscheck(args) -> int:
         rec_verdict["total"] = {"expected": expected_total, "got": report.total,
                                 "match": ok}
         if "by_group" in rec:
-            got = {e.label: e.count for e in report.by_group}
+            got = report.counts()
             exp = {g["label"]: int(g["count"]) for g in rec["by_group"]}
             group_ok = got == exp
             rec_verdict["by_group"] = {"expected": exp, "got": got,
@@ -377,6 +371,7 @@ def _cmd_crosscheck(args) -> int:
         rec_verdict["match"] = ok
         all_match = all_match and ok
         verdicts.append(rec_verdict)
+        csv_rows.append((params, "match" if ok else "mismatch", report.total))
     if not matched_any:
         print("error: no records match the filter", file=sys.stderr)
         return EXIT_USAGE
@@ -385,13 +380,7 @@ def _cmd_crosscheck(args) -> int:
     envelope = {"command": "crosscheck",
                 "params": params_block,
                 "result": {"all_match": all_match, "records": verdicts}}
-    csv_rows = [("params", "label", "count")]
-    for v in verdicts:
-        pkey = (f"p={v['params']['p']};ell={v['params']['ell']};"
-                f"eK={v['params']['e_K']};fK={v['params']['f_K']}")
-        csv_rows.append((pkey, "match" if v["match"] else "mismatch",
-                         v["total"]["got"]))
-    _emit(envelope, args.format, csv_rows)
+    _emit(envelope, args.format, _csv_table(csv_rows))
     return EXIT_OK if all_match else EXIT_USAGE
 
 
@@ -449,28 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "local field extensions without intermediate fields")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "count": _cmd_count,
-        "groups": _cmd_groups,
-        "module": _cmd_module,
-        "oracle": _cmd_oracle,
-        "ramify": _cmd_ramify,
-        "audit": _cmd_audit,
-        "selftest": _cmd_selftest,
-        "crosscheck": _cmd_crosscheck,
+    commands = {
+        "count": (_cmd_count, "closed-form census totals and per-group counts"),
+        "groups": (_cmd_groups,
+                   "catalog of normal-closure groups with matrix generators"),
+        "module": (_cmd_module,
+                   "level modules, constituents, and the span profile"),
+        "oracle": (_cmd_oracle,
+                   "independent census by explicit submodule enumeration"),
+        "ramify": (_cmd_ramify,
+                   "jump schedule, different, and discriminant routes"),
+        "audit": (_cmd_audit, "cross-validation report (exit 2 on disagreements)"),
+        "selftest": (_cmd_selftest, "run the built-in smoke grid"),
+        "crosscheck": (_cmd_crosscheck,
+                       "compare census output against a fixture file"),
     }
-    help_text = {
-        "count": "closed-form census totals and per-group counts",
-        "groups": "catalog of normal-closure groups with matrix generators",
-        "module": "level modules, constituents, and the span profile",
-        "oracle": "independent census by explicit submodule enumeration",
-        "ramify": "jump schedule, different, and discriminant routes",
-        "audit": "cross-validation report (exit 2 on disagreements)",
-        "selftest": "run the built-in smoke grid",
-        "crosscheck": "compare census output against a fixture file",
-    }
-    for name, handler in handlers.items():
-        sub = subs.add_parser(name, help=help_text[name])
+    for name, (handler, help_text) in commands.items():
+        sub = subs.add_parser(name, help=help_text)
         _add_common(sub, need_fixture=(name == "crosscheck"))
         sub.set_defaults(handler=handler)
     return parser

@@ -191,30 +191,16 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += (ra + rb) % p * mult
-            mult *= p
-        return out
+        return self.from_digits(
+            x + y for x, y in zip(self._digits_of(a), self._digits_of(b)))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            a, ra = divmod(a, p)
-            out += (-ra) % p * mult
-            mult *= p
-        return out
+        return self.from_digits(-x for x in self._digits_of(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b)) if self.p != 2 else a ^ b
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.p == 2:

@@ -79,7 +79,13 @@ def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> set:
     product of monomial matrices adds exponent tuples mod p^ell - 1: the
     law of MonomialMatrix.mul, with no field multiply.  Exponentiation is
     an isomorphism, so the orders are those of the field-coordinate group.
-    Returns the keys (shift, exponent tuple)."""
+    Returns the keys (shift, exponent tuple).
+
+    One dlog serves a whole Frobenius orbit x, x^p, x^(p^2), ...: the
+    orbit is walked with ctx.frob, and log(y^p) = p log(y) mod p^m - 1.
+    Raises CapacityError when the group exceeds cap elements, and also
+    when a coefficient has multiplicative order above 2^32 (its discrete
+    log is refused), even if the group itself is small."""
     gens = list(generators)
     ell = gens[0].ell
     n = ctx.mult_order
@@ -88,7 +94,10 @@ def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> set:
     for g in gens:
         for x in g.coeffs:
             if x not in logs:
-                logs[x] = ctx.dlog(x)
+                k, y = ctx.dlog(x), x
+                while y not in logs:
+                    logs[y] = k
+                    k, y = k * ctx.p % n, ctx.frob(y)
         # (m * g).coeffs[j] = g.coeffs[j] * m.coeffs[(j + g.shift) % ell]
         laws.append((g.shift, tuple((logs[x], (j + g.shift) % ell)
                                     for j, x in enumerate(g.coeffs))))
@@ -100,15 +109,6 @@ def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> set:
         return ((shift + gshift) % ell, tuple([(e + exps[i]) % n for e, i in pairs]))
 
     return closure((0, (0,) * ell), laws, step, cap)
-
-
-def group_closure_order(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> int:
-    """Order of the generated matrix group by explicit BFS closure.
-
-    Raises CapacityError when the group exceeds cap elements, and also
-    when a generator coefficient has multiplicative order above 2^32 (its
-    discrete log is refused), even if the group itself is small."""
-    return len(closure_elements(generators, ctx, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +136,18 @@ def beta_is_power_residue(c: int, beta_order: int, p: int, ell: int) -> bool:
     return (c // gcd(c, ps)) % beta_order == 0
 
 
-def nonsplit_index(c: int, beta_residue: int, p: int, ell: int) -> int:
-    """Class index 1..ell-1 of beta (an element of F_p*, as an int mod p)
-    relative to the canonical coset generator.
+def coset_generator(c: int, p: int) -> int:
+    """The canonical generator h = g^((p-1)/g1) of C intersect F_p*, for g
+    the least primitive root mod p and g1 = gcd(c, p-1); the nonsplit
+    class j is the coset of h^j."""
+    return pow(least_primitive_root(p), (p - 1) // gcd(c, p - 1), p)
 
-    Convention: h = g^((p-1)/g1) for g the least primitive root mod p and
-    g1 = gcd(c, p-1) generates C intersect F_p*; the index is the discrete
-    log of beta base h, reduced mod ell."""
-    g1 = gcd(c, p - 1)
-    h = pow(least_primitive_root(p), (p - 1) // g1, p)
-    x = 1
-    for k in range(g1):
+
+def nonsplit_index(c: int, beta_residue: int, p: int, ell: int) -> int:
+    """Class index 1..ell-1 of beta (an element of F_p*, as an int mod p):
+    the discrete log of beta base coset_generator(c, p), reduced mod ell."""
+    h, x = coset_generator(c, p), 1
+    for k in range(gcd(c, p - 1)):
         if x == beta_residue % p:
             j = k % ell
             if j == 0:
@@ -215,9 +216,8 @@ def catalog(params: ExtensionParams,
         alpha = ctx.root_of_unity(c)
         if centry.kind == "cyclic":
             beta = 1
-            diag_a = generator_matrices(ctx, alpha, 1, ell).T
-            diag_b = MonomialMatrix(ell, 0, (1,) * ell)
-            gens: tuple[MonomialMatrix, ...] = (diag_a, diag_b)
+            gens: tuple[MonomialMatrix, ...] = (
+                generator_matrices(ctx, alpha, 1, ell).T,)
             expected = c
             abelian = True
             desc = GroupDescriptor("cyclic", c, 0, p, ell, cyclic_label(c))
@@ -225,9 +225,7 @@ def catalog(params: ExtensionParams,
             if centry.kind == "split":
                 beta = 1
             else:
-                g1 = gcd(c, p - 1)
-                h = pow(least_primitive_root(p), (p - 1) // g1, p)
-                beta = pow(h, centry.class_index, p)
+                beta = pow(coset_generator(c, p), centry.class_index, p)
                 got = split_class(ctx, alpha, beta, params)
                 if got != ("nonsplit", centry.class_index):
                     raise InvariantError(

@@ -440,14 +440,18 @@ class OracleCensus:
 
 
 class _PhysicalClass:
-    def __init__(self, p: int, rep_gens: list[list], dim: int) -> None:
+    """One isomorphism class of ell-dimensional irreducibles: a
+    representative's generator images and d = dim End; per level, its
+    multiplicity and the (tau, v) images on its isotypic span there; and
+    its classification, once every level is seen."""
+
+    def __init__(self, p: int, rep_gens: list[list], ell: int) -> None:
         self.rep_gens = rep_gens
-        self.dim = dim
         self.levels: list[int] = []
         self.mults: list[int] = []
-        self.span_by_level: dict[int, tuple] = {}
-        self.kernel_by_level: dict[int, tuple] = {}
-        self.d = len(hom_basis(p, rep_gens, rep_gens, dim, dim))
+        self.span_gens: list[list[list]] = []
+        self.d = len(hom_basis(p, rep_gens, rep_gens, ell, ell))
+        self.desc: ClassifiedGroup | None = None
 
 
 def _restricted_gens(space: VecSpace, rows: tuple, taus: list, vs: list,
@@ -513,50 +517,43 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
                 if len(span_rows) % ell != 0:
                     raise InvariantError("isotypic span dimension not divisible")
                 mult_here = len(span_rows) // ell
-                target_cls = None
-                for cls in classes:
-                    if cls.dim == ell and hom_basis(
-                            p, rep_gens, cls.rep_gens, ell, ell):
-                        target_cls = cls
-                        break
+                target_cls = next((cls for cls in classes if hom_basis(
+                    p, rep_gens, cls.rep_gens, ell, ell)), None)
                 if target_cls is None:
                     target_cls = _PhysicalClass(p, rep_gens, ell)
                     classes.append(target_cls)
-                d = target_cls.d
-                if len(members) != subspace_count_law(d, mult_here, p):
+                law = subspace_count_law(target_cls.d, mult_here, p)
+                if len(members) != law:
                     raise InvariantError(
                         f"kernel enumeration found {len(members)} submodules, "
-                        f"law predicts {subspace_count_law(d, mult_here, p)}")
+                        f"law predicts {law}")
                 target_cls.levels.append(i)
                 target_cls.mults.append(mult_here)
-                target_cls.span_by_level[i] = span_rows
-                target_cls.kernel_by_level[i] = kernel_rows
+                target_cls.span_gens.append(_restricted_gens(
+                    sub, span_rows, kgens[0], kgens[1], p))
 
     # assemble per-class reports, classifying each representative once
     out_classes: list[OracleClassReport] = []
-    descriptors: list[ClassifiedGroup] = []
     for cls in classes:
         mult = sum(cls.mults)
         count = subspace_count_law(cls.d, mult, p)
-        desc = classify_submodule(p, ell, cls.rep_gens)
-        descriptors.append(desc)
+        desc = cls.desc = classify_submodule(p, ell, cls.rep_gens)
         block_dim = ell * mult
-        verified = False
-        if p ** block_dim <= BLOCK_CAP:
-            verified = _verify_block(params, aux, real, cls, count, desc,
-                                     parallelism)
+        verified = p ** block_dim <= BLOCK_CAP
+        if verified:
+            _verify_block(p, ell, cls, count, parallelism)
         out_classes.append(OracleClassReport(
             label=desc.label, kind=desc.kind, class_index=desc.class_index,
             c=desc.c, d=cls.d, multiplicity=mult, count=count,
             levels=tuple(cls.levels), mult_by_level=tuple(cls.mults),
             block_dim=block_dim, verified_exhaustively=verified))
 
-    _check_against_bookkeeping(params, aux, classes, descriptors)
+    _check_against_bookkeeping(params, aux, classes)
 
     level_results = []
     if level_cap:
-        level_results = _sweep_levels(params, aux, real, classes, descriptors,
-                                      level_cap, parallelism)
+        level_results = _sweep_levels(params, aux, real, classes, level_cap,
+                                      parallelism)
 
     merged: dict[str, list[OracleClassReport]] = {}
     for rep in out_classes:
@@ -573,9 +570,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
     report = CensusReport(total=total, case_tag=params.case_tag,
                           by_group=tuple(entries), identity_ok=True)
     closed = census_by_group(params)
-    matches = (total == closed.total
-               and {e.label: e.count for e in entries}
-               == {e.label: e.count for e in closed.by_group})
+    matches = total == closed.total and report.counts() == closed.counts()
     out_classes.sort(key=lambda r: (r.c, r.label, r.levels))
     return OracleCensus(report=report, classes=tuple(out_classes),
                         closed_form=closed, matches_closed_form=matches,
@@ -583,8 +578,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
 
 
 def _check_against_bookkeeping(params: ExtensionParams, aux: AuxFieldData,
-                               classes: list[_PhysicalClass],
-                               descriptors: list[ClassifiedGroup]) -> None:
+                               classes: list[_PhysicalClass]) -> None:
     """The physically measured class invariants must biject with the
     exponent-arithmetic class list."""
     ell = params.ell
@@ -598,9 +592,8 @@ def _check_against_bookkeeping(params: ExtensionParams, aux: AuxFieldData,
                     else "nonsplit")
         abstract.append((pc.c, kind, pc.d, pc.global_multiplicity,
                          pc.levels, pc.mult_by_level))
-    physical = [(desc.c, desc.kind, cls.d, sum(cls.mults),
-                 tuple(cls.levels), tuple(cls.mults))
-                for cls, desc in zip(classes, descriptors)]
+    physical = [(cls.desc.c, cls.desc.kind, cls.d, sum(cls.mults),
+                 tuple(cls.levels), tuple(cls.mults)) for cls in classes]
     if sorted(abstract) != sorted(physical):
         raise InvariantError(
             "oracle classes do not match the exponent bookkeeping:\n"
@@ -608,31 +601,21 @@ def _check_against_bookkeeping(params: ExtensionParams, aux: AuxFieldData,
             f"  measured:    {sorted(physical)}")
 
 
-def _verify_block(params, aux, real: LevelRealization, cls: _PhysicalClass,
-                  expected_count: int, desc: ClassifiedGroup,
-                  parallelism: int) -> bool:
-    """Exhaustively spin the cross-level isotypic block and compare with
-    the subspace law and the classification."""
-    p, ell = params.p, params.ell
-    space = real.space
-    local_bases = []
-    for i in cls.levels:
-        kernel_rows = cls.kernel_by_level[i]
-        ksub = VecSpace(p, len(kernel_rows))
-        kgens = _restricted_gens(space, kernel_rows, real.tau_images(i),
-                                 real.v_images(), p)
-        span_list = list(cls.span_by_level[i])
-        sgens = _restricted_gens(ksub, span_list, kgens[0], kgens[1], p)
-        local_bases.append((len(span_list), sgens))
-    total_dim = sum(nd for nd, _ in local_bases)
+def _verify_block(p: int, ell: int, cls: _PhysicalClass, expected_count: int,
+                  parallelism: int) -> None:
+    """Exhaustively spin the cross-level isotypic block, the direct sum of
+    the class's level spans, and compare with the subspace law and the
+    classification."""
+    desc = cls.desc
+    total_dim = ell * sum(cls.mults)
     bspace = VecSpace(p, total_dim)
     tau_images = []
     v_images = []
     shift = 0
-    for nd, sgens in local_bases:
-        tau_images.extend(img << shift for img in sgens[0])
-        v_images.extend(img << shift for img in sgens[1])
-        shift += nd * bspace.w
+    for taus, vs in cls.span_gens:
+        tau_images.extend(img << shift for img in taus)
+        v_images.extend(img << shift for img in vs)
+        shift += len(taus) * bspace.w
     bmod = Module(p, total_dim, [tau_images, v_images])
     subs = enumerate_irreducible_submodules(bmod, ell, parallelism=parallelism)
     if len(subs) != expected_count:
@@ -645,11 +628,10 @@ def _verify_block(params, aux, real: LevelRealization, cls: _PhysicalClass,
     if (got.kind, got.c, got.class_index) != (desc.kind, desc.c, desc.class_index):
         raise InvariantError(
             f"block member classifies as {got.label}, class says {desc.label}")
-    return True
 
 
-def _sweep_levels(params, aux, real: LevelRealization, classes, descriptors,
-                  level_cap: int, parallelism: int) -> list[LevelExhaustiveResult]:
+def _sweep_levels(params, aux, real: LevelRealization, classes, level_cap: int,
+                  parallelism: int) -> list[LevelExhaustiveResult]:
     """Whole-level exhaustive sweeps: every irreducible of the target
     dimension in M_i must be accounted for by the per-level isotypic
     counts, with matching classification tallies."""
@@ -663,12 +645,11 @@ def _sweep_levels(params, aux, real: LevelRealization, classes, descriptors,
                                                 parallelism=parallelism)
         expected = 0
         tally: dict[str, int] = {}
-        for cls, desc in zip(classes, descriptors):
-            if i in cls.span_by_level:
-                idx = cls.levels.index(i)
-                n_i = subspace_count_law(cls.d, cls.mults[idx], p)
+        for cls in classes:
+            if i in cls.levels:
+                n_i = subspace_count_law(cls.d, cls.mults[cls.levels.index(i)], p)
                 expected += n_i
-                tally[desc.label] = tally.get(desc.label, 0) + n_i
+                tally[cls.desc.label] = tally.get(cls.desc.label, 0) + n_i
         found_tally: dict[str, int] = {}
         taus, vs = real.tau_images(i), real.v_images()
         for rows in subs:

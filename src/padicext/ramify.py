@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .action import AuxFieldData, level_indices, span_profile
+from .action import BOOKKEEPING_CAP, AuxFieldData, level_indices, span_profile
 from .census import ExtensionParams, degree_exponent
 from .errors import CapacityError, DomainError
 from .arith import (check_output_digits, divisors, order_pair_count,
@@ -44,7 +44,7 @@ class WildInputs:
 
     @staticmethod
     def from_params(params: ExtensionParams, aux: AuxFieldData) -> "WildInputs":
-        return WildInputs(p=params.p, d=degree_exponent(params).exponent,
+        return WildInputs(p=params.p, d=degree_exponent(params),
                           e_f=aux.e_total, f_f=aux.f_total,
                           e_rel=aux.e_rel, f_rel=aux.f_rel)
 
@@ -79,14 +79,6 @@ def upper_dim(v, d: int, e_f: int, f_f: int, p: int) -> UpperDim:
 
 
 @dataclass(frozen=True)
-class JumpSchedule:
-    """t(-1) = 0, t(0) = 1, and t(k) = t(k-1) + p^(k f_F), doubled when
-    k = 0 mod (p-1), for 1 <= k <= e_F - 1."""
-
-    t: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RamificationProfile:
     p: int
     d: int
@@ -94,7 +86,7 @@ class RamificationProfile:
     f_f: int
     e_rel: int
     f_rel: int
-    schedule: JumpSchedule
+    t: tuple[int, ...]                  # t(-1), t(0), ..., t(e_F - 1)
     jumps: tuple[int, ...]               # -1, 0, t(0), ..., t(e_F - 1)
     segments: tuple[tuple[int, int, int], ...]  # (lo, hi], wild exponent
     flagged: bool                       # some wild exponent went negative
@@ -107,7 +99,9 @@ class RamificationProfile:
 
 def jump_schedule(inputs: WildInputs) -> RamificationProfile:
     """Lower-numbering schedule and sizes, flagged (not repaired) when the
-    wild exponents d - k f_F underflow.
+    wild exponents d - k f_F underflow.  The schedule is t(-1) = 0,
+    t(0) = 1, and t(k) = t(k-1) + p^(k f_F), doubled when k = 0 mod (p-1),
+    for 1 <= k <= e_F - 1.
 
     Refuses with CapacityError, before any power is taken, when t(e_F - 1)
     or a number built on p^d could exceed OUTPUT_DIGIT_CAP digits: t(e_F - 1)
@@ -131,11 +125,10 @@ def jump_schedule(inputs: WildInputs) -> RamificationProfile:
     flagged = d < (e_f - 1) * f_f
     for k in range(e_f):
         segments.append((t[k], t[k + 1], d - k * f_f))
-    schedule = JumpSchedule(t=tuple(t))
     jumps = (-1, 0) + tuple(t[1:])
     return RamificationProfile(
         p=p, d=d, e_f=e_f, f_f=f_f, e_rel=inputs.e_rel, f_rel=inputs.f_rel,
-        schedule=schedule, jumps=jumps, segments=tuple(segments),
+        t=tuple(t), jumps=jumps, segments=tuple(segments),
         flagged=flagged)
 
 
@@ -303,11 +296,13 @@ def audit(params: ExtensionParams, aux: AuxFieldData) -> AuditReport:
     """
     items: list[AuditItem] = []
     p, ell = params.p, params.ell
-    d = degree_exponent(params).exponent
+    d = degree_exponent(params)
     f_f = aux.f_total
     # the jump integers are the level indices
-    jumps_over_cap = CapacityError("jump integer enumeration over capacity")
-    jumps = None if aux.e_total > 10 ** 6 else level_indices(aux)
+    jumps_over_cap = CapacityError(
+        f"jump integer enumeration needs e_F <= BOOKKEEPING_CAP = "
+        f"{BOOKKEEPING_CAP}, got e_F = {aux.e_total}")
+    jumps = None if aux.e_total > BOOKKEEPING_CAP else level_indices(aux)
 
     # (a) total of the uniform drops vs d
     try:

@@ -209,11 +209,11 @@ def test_criterion_7_ramification():
             continue
         h = herbrand_convert(prof)
         for x in (Fraction(0), Fraction(1), Fraction(5, 3), Fraction(7, 2),
-                  Fraction(prof.schedule.t[-1]),
-                  Fraction(prof.schedule.t[-1] * 2 + 1, 2)):
+                  Fraction(prof.t[-1]),
+                  Fraction(prof.t[-1] * 2 + 1, 2)):
             assert h.to_lower(h.to_upper(x)) == x
             assert h.to_upper(h.to_lower(x)) == x
-        if prof.schedule.t[-1] <= 10 ** 4:
+        if prof.t[-1] <= 10 ** 4:
             assert different_valuation(prof) == \
                 different_valuation_literal(prof)
         profiles += 1

@@ -1,5 +1,9 @@
 """Closed-form census: frozen values, exactness, cross-sum identity."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from padicext.census import (ExtensionParams, census_by_group,
@@ -25,9 +29,9 @@ def test_total_depends_only_on_absolute_degree():
 
 
 def test_degree_exponent_values():
-    assert degree_exponent(ExtensionParams(2, 3, 1, 1)).exponent == 24
-    assert degree_exponent(ExtensionParams(3, 2, 1, 1)).exponent == 36
-    assert degree_exponent(ExtensionParams(5, 2, 1, 2)).exponent == 1120
+    assert degree_exponent(ExtensionParams(2, 3, 1, 1)) == 24
+    assert degree_exponent(ExtensionParams(3, 2, 1, 1)) == 36
+    assert degree_exponent(ExtensionParams(5, 2, 1, 2)) == 1120
 
 
 def test_by_group_q2():
@@ -102,3 +106,20 @@ def test_invalid_primes_rejected():
         ExtensionParams(2, 9, 1, 1)
     with pytest.raises(DomainError):
         ExtensionParams(2, 3, 0, 1)
+
+
+def test_census_import_loads_only_its_own_dependencies():
+    # the package re-exports nothing, so importing the census in a fresh
+    # interpreter loads neither the oracle nor the field arithmetic
+    code = ("import sys, padicext; "
+            "print(sorted(n for n in dir(padicext) if not n.startswith('_'))); "
+            "import padicext.census; "
+            "print(sorted(m for m in sys.modules if m.startswith('padicext')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=Path(__file__).resolve().parents[1])
+    assert proc.returncode == 0, proc.stderr
+    public, loaded = proc.stdout.splitlines()
+    assert public == "[]"
+    assert loaded == str(["padicext", "padicext.arith", "padicext.census",
+                          "padicext.errors"])
+    assert "padicext.oracle" not in loaded and "padicext.ffield" not in loaded

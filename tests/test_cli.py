@@ -286,7 +286,7 @@ def _uncapped_report(monkeypatch, inputs):
 
 def _largest_printed(rep) -> int:
     nums = [abs(rep.alpha_closed.numerator), rep.alpha_closed.denominator,
-            rep.profile.schedule.t[-1]]
+            rep.profile.t[-1]]
     if not rep.profile.flagged:
         nums += [rep.different_valuation, rep.alpha_direct]
     return max(nums)
@@ -325,7 +325,7 @@ def test_jump_schedule_digit_cap_boundary(p):
                 assert max(t_last, p ** d) >= CAP_FLOOR, (p, e, d)
                 seen.add("refused")
                 continue
-            json.dumps(cli._jsonable(list(prof.schedule.t)))
+            json.dumps(cli._jsonable(list(prof.t)))
             if not prof.flagged:
                 json.dumps(cli._jsonable(ramify.different_valuation(prof)))
             seen.add("accepted")

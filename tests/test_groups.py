@@ -8,11 +8,10 @@ import pytest
 from padicext.arith import closure
 from padicext.census import ExtensionParams, census_by_group
 from padicext.errors import CapacityError, DomainError, InvariantError
-from padicext.ffield import make_field
+from padicext.ffield import FieldCtx, make_field
 from padicext.groups import (MonomialMatrix, catalog, closure_elements,
-                             frobenius_rep, generator_matrices,
-                             group_closure_order, power_sum, regular_rep,
-                             split_class)
+                             frobenius_rep, generator_matrices, power_sum,
+                             regular_rep, split_class)
 from padicext.linalg import VecSpace
 from padicext.oracle import (_mat_mul, classify_submodule,
                              matrix_group_elements)
@@ -99,11 +98,11 @@ def test_closure_orders():
     ctx8 = make_field(2, 3)
     a7 = ctx8.root_of_unity(7)
     pair = generator_matrices(ctx8, a7, 1, 3)
-    assert group_closure_order([pair.T], ctx8) == 7
-    assert group_closure_order([pair.T, pair.V], ctx8) == 21
+    assert len(closure_elements([pair.T], ctx8)) == 7
+    assert len(closure_elements([pair.T, pair.V], ctx8)) == 21
     ctx9 = make_field(3, 2)
     pair9 = generator_matrices(ctx9, ctx9.root_of_unity(8), 1, 2)
-    assert group_closure_order([pair9.T, pair9.V], ctx9) == 16
+    assert len(closure_elements([pair9.T, pair9.V], ctx9)) == 16
 
 
 def test_split_class_contract_examples():
@@ -278,7 +277,7 @@ def test_closure_matches_field_reference_on_small_catalogs():
                     if entry.matrix_order is None:
                         continue
                     ref = len(field_closure(entry.generators, ctx, cap=10 ** 4))
-                    assert group_closure_order(entry.generators, ctx) == ref
+                    assert len(closure_elements(entry.generators, ctx)) == ref
                     assert entry.matrix_order == ref
                     checked += 1
     assert checked > 50
@@ -302,7 +301,7 @@ def test_closure_matches_field_reference_on_random_pairs(p, ell):
         # the cap refuses exactly the groups larger than it
         with pytest.raises(CapacityError):
             closure_elements(gens, ctx, cap=len(ref) - 1)
-        assert group_closure_order(gens, ctx, cap=len(ref)) == len(ref)
+        assert len(closure_elements(gens, ctx, cap=len(ref))) == len(ref)
         # the same group as F_p-matrices, through the oracle's closure
         fp_gens = [tuple(fp_images(g, ctx)) for g in gens]
         dim = ell * ctx.m
@@ -321,11 +320,33 @@ def test_closure_when_coefficient_order_exceeds_group_order():
         ctx = make_field(p, 2)
         x = ctx.generator
         v = MonomialMatrix(2, 1, (x, ctx.inv(x)))
-        assert group_closure_order([v], ctx) == 2
+        assert len(closure_elements([v], ctx)) == 2
         assert from_keys(closure_elements([v], ctx), 2, ctx) == \
             field_closure([v], ctx)
         t = MonomialMatrix(2, 0, (ctx.neg(1), 1))
-        assert group_closure_order([v, t], ctx) == len(field_closure([v, t], ctx))
+        assert len(closure_elements([v, t], ctx)) == len(field_closure([v, t], ctx))
+
+
+def test_closure_takes_one_discrete_log_per_frobenius_orbit(monkeypatch):
+    # a catalog T = diag(alpha, alpha^p, ...) is one Frobenius orbit of ell
+    # distinct entries: one dlog, the other logs by log(y^p) = p log(y)
+    p, ell = 3, 5
+    ctx = make_field(p, ell)
+    calls = []
+    dlog = FieldCtx.dlog
+
+    def counting(self, x):
+        calls.append(x)
+        return dlog(self, x)
+
+    monkeypatch.setattr(FieldCtx, "dlog", counting)
+    for entry in catalog(ExtensionParams(p, ell, 1, 1)):
+        T = entry.generators[0]
+        assert len(set(T.coeffs)) == ell
+        calls.clear()
+        keys = closure_elements([T], ctx)
+        assert calls == [T.coeffs[0]]
+        assert from_keys(keys, ell, ctx) == field_closure([T], ctx)
 
 
 def test_closure_refuses_a_discrete_log_beyond_its_cap():

@@ -64,7 +64,7 @@ def test_upper_dim_monotone_nonincreasing():
 
 def test_jump_schedule_synthetic():
     prof = jump_schedule(SYN)
-    assert prof.schedule.t == (0, 1, 4)  # t(1) = 1 + 3^1 (1 not = 0 mod p-1)
+    assert prof.t == (0, 1, 4)  # t(1) = 1 + 3^1 (1 not = 0 mod p-1)
     assert prof.jumps == (-1, 0, 1, 4)
     assert len(prof.jumps) == SYN.e_f + 2
     assert prof.segments == ((0, 1, 2), (1, 4, 1))
@@ -89,19 +89,19 @@ def test_jump_schedule_matches_per_k_power_reference():
             for f_f in range(1, 6):
                 prof = jump_schedule(WildInputs(p=p, d=e_f * f_f, e_f=e_f,
                                                 f_f=f_f, e_rel=1, f_rel=1))
-                assert prof.schedule.t == jump_schedule_reference(
+                assert prof.t == jump_schedule_reference(
                     p, e_f, f_f), (p, e_f, f_f)
 
 
 def test_jump_schedule_doubles_on_multiples_of_p_minus_one():
     prof = jump_schedule(WildInputs(p=3, d=8, e_f=3, f_f=2, e_rel=3, f_rel=1))
     # k=1: +3^2; k=2 (= 0 mod 2): +2*3^4
-    assert prof.schedule.t == (0, 1, 10, 172)
+    assert prof.t == (0, 1, 10, 172)
 
 
 def test_jump_schedule_degenerate_index_one():
     prof = jump_schedule(WildInputs(p=2, d=1, e_f=1, f_f=1, e_rel=1, f_rel=1))
-    assert prof.schedule.t == (0, 1)
+    assert prof.t == (0, 1)
     assert len(prof.jumps) == 3
 
 
@@ -120,7 +120,7 @@ def test_different_valuation_synthetic():
 def test_different_segment_algebra_equals_literal_sum():
     for inputs in PROFILE_GRID:
         prof = jump_schedule(inputs)
-        if prof.flagged or prof.schedule.t[-1] > 10 ** 4:
+        if prof.flagged or prof.t[-1] > 10 ** 4:
             continue
         assert different_valuation(prof) == different_valuation_literal(prof)
 
@@ -141,8 +141,8 @@ def test_herbrand_round_trip_exact():
         h = herbrand_convert(prof)
         samples = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 2),
                    Fraction(7, 3), Fraction(5), Fraction(19, 7),
-                   Fraction(prof.schedule.t[-1]),
-                   Fraction(prof.schedule.t[-1] + 5)]
+                   Fraction(prof.t[-1]),
+                   Fraction(prof.t[-1] + 5)]
         for x in samples:
             assert h.to_lower(h.to_upper(x)) == x
             assert h.to_upper(h.to_lower(x)) == x
@@ -225,8 +225,8 @@ def test_audit_degrades_gracefully_at_huge_parameters():
 
 
 def test_audit_jump_count_and_cap_message():
-    # the jump integers are the level indices; past e_F = 10^6 the item
-    # is skipped with the enumeration's own reason
+    # the jump integers are the level indices; past e_F = BOOKKEEPING_CAP
+    # the item is skipped with a reason naming the cap and e_F
     params = ExtensionParams(2, 3, 1, 1)
     aux = default_aux_data(params)
     a = audit(params, aux).item("uniform_drops_vs_dimension")
@@ -234,4 +234,5 @@ def test_audit_jump_count_and_cap_message():
     big = make_aux_data(params, 2 ** 21 - 1, 21)
     a = audit(params, big).item("uniform_drops_vs_dimension")
     assert (a.verdict, a.detail) == (
-        "skipped", {"reason": "jump integer enumeration over capacity"})
+        "skipped", {"reason": "jump integer enumeration needs e_F <= "
+                              "BOOKKEEPING_CAP = 1000000, got e_F = 2097151"})
