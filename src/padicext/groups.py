@@ -15,7 +15,7 @@ adds exponent tuples mod p^ell - 1 instead of multiplying field elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -71,7 +71,8 @@ def generator_matrices(ctx: FieldCtx, alpha: int, beta: int, ell: int) -> Matrix
     return MatrixPair(T=T, V=V)
 
 
-def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> set:
+def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP,
+                     logs: dict | None = None) -> set:
     """Elements of the generated matrix group by explicit BFS closure.
 
     Every coefficient lies in the cyclic group GF(p^ell)^*, so each one is
@@ -85,11 +86,14 @@ def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP) -> set:
     orbit is walked with ctx.frob, and log(y^p) = p log(y) mod p^m - 1.
     Raises CapacityError when the group exceeds cap elements, and also
     when a coefficient has multiplicative order above 2^32 (its discrete
-    log is refused), even if the group itself is small."""
+    log is refused), even if the group itself is small.  `logs` (element
+    -> discrete log in ctx), when given, is read and filled in place, so
+    closures of the same field share their logs."""
     gens = list(generators)
     ell = gens[0].ell
     n = ctx.mult_order
-    logs: dict[int, int] = {}
+    if logs is None:
+        logs = {}
     laws = []
     for g in gens:
         for x in g.coeffs:
@@ -211,13 +215,17 @@ def catalog(params: ExtensionParams,
     p, ell = params.p, params.ell
     ctx = make_field(p, ell)
     entries: list[CatalogEntry] = []
+    pairs: dict[int, MatrixPair] = {}  # c -> the pair at beta = 1
+    logs: dict[int, int] = {}  # discrete logs, shared by every closure
     for centry in census_by_group(params).by_group:
         c = centry.c
-        alpha = ctx.root_of_unity(c)
+        if c not in pairs:
+            pairs[c] = generator_matrices(ctx, ctx.root_of_unity(c), 1, ell)
+        pair = pairs[c]
+        alpha = pair.T.coeffs[0]
         if centry.kind == "cyclic":
             beta = 1
-            gens: tuple[MonomialMatrix, ...] = (
-                generator_matrices(ctx, alpha, 1, ell).T,)
+            gens: tuple[MonomialMatrix, ...] = (pair.T,)
             expected = c
             abelian = True
             desc = GroupDescriptor("cyclic", c, 0, p, ell, cyclic_label(c))
@@ -231,8 +239,9 @@ def catalog(params: ExtensionParams,
                     raise InvariantError(
                         f"nonsplit representative for {centry.label} "
                         f"classified as {got}")
-            pair = generator_matrices(ctx, alpha, beta, ell)
-            gens = (pair.T, pair.V)
+            # the beta = 1 pair's V, with corner beta
+            gens = (pair.T,
+                    replace(pair.V, coeffs=pair.V.coeffs[:-1] + (beta,)))
             expected = c * ell
             abelian = False
             desc = GroupDescriptor(centry.kind, c, centry.class_index, p, ell,
@@ -241,7 +250,7 @@ def catalog(params: ExtensionParams,
         order = None
         witness = None
         if expected <= closure_cap:
-            elements = closure_elements(gens, ctx, cap=closure_cap)
+            elements = closure_elements(gens, ctx, cap=closure_cap, logs=logs)
             order = len(elements)
             if order != expected:
                 raise InvariantError(

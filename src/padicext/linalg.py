@@ -157,13 +157,18 @@ class VecSpace:
             basis[i] = self.reduce(basis[i], basis[i + 1:])
         return tuple(basis)
 
-    def span_members(self, rows) -> Iterator[int]:
-        """All nonzero vectors of the span (p^k - 1 of them)."""
-        members = [0]  # in the order of the coefficients' base-p keys
-        for r in rows:
-            multiples = [self.smul(c, r) for c in range(1, self.p)]
-            members += [self.add(m, x) for x in multiples for m in members]
-        return iter(members[1:])
+    def span_lines(self, rows) -> Iterator[int]:
+        """One vector per line of the span of reduced echelon rows, the one
+        with leading coefficient 1, in ascending key order: (p^k - 1)/(p - 1)
+        of them.  Row r_i yields r_i plus each member of the span of the
+        rows below it."""
+        below = [0]  # the span of the rows below, ascending
+        for i in range(len(rows) - 1, -1, -1):
+            r = rows[i]
+            yield from (self.add(r, m) for m in below)
+            if i:
+                multiples = [self.smul(c, r) for c in range(1, self.p)]
+                below += [self.add(x, m) for x in multiples for m in below]
 
     # -- linear maps -----------------------------------------------------------
 

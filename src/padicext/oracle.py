@@ -10,9 +10,12 @@ the closed-form invariants they are meant to check), assembled into
 cross-level isotypic blocks, counted by the subspace law, and classified
 by matrix-group closure of the restricted action.
 
-With parallelism N > 1, a seed scan of at least PARALLEL_MIN_SEEDS seeds
-runs in min(N, usable CPUs) worker processes; the result, and so every
-output byte, is the same for any N.
+An exhaustive scan of F_p^n spins one seed per line: the (p^n - 1)/(p - 1)
+vectors with leading coordinate 1.  "Seeds" below means these.  With
+parallelism N > 1, a scan of at least PARALLEL_MIN_SEEDS seeds runs in
+min(N, usable CPUs) worker processes; the result, and so every output
+byte, is the same for any N.  EXHAUSTIVE_CAP and BLOCK_CAP bound p^n, not
+the seeds.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ SPIN_DIM_CAP = 64
 BLOCK_CAP = 1 << 18  # blocks re-counted by exhaustive spinning
 PARALLEL_MIN_SEEDS = 4096  # smaller scans stay in the calling process
 # contiguous seed ranges per worker: the work per seed is uneven across
-# [1, p^dim), so one range each leaves a worker idle at the end
+# the seed indices, so one range each leaves a worker idle at the end
 SCAN_RANGES_PER_WORKER = 16
 
 
@@ -66,7 +69,10 @@ def spin(module: Module, seed, abort_dim: int | None = None,
     hunting submodules of that exact dimension).  `abort_below`: give up
     when a produced vector is smaller than this one, usually the seed
     (sound for exhaustive scans, where the subspace is also reached from
-    its minimal vector).
+    its least nonzero vector).  That vector has leading coordinate 1:
+    scaling a vector with leading coefficient c != 1 by 1/c gives a smaller
+    one.  So a scan of only the seeds with leading coordinate 1 still
+    reaches every subspace.
     """
     space = module.space
     if not seed:
@@ -93,35 +99,46 @@ def spin(module: Module, seed, abort_dim: int | None = None,
 
 
 def _scan_range(module: Module, target_dim: int, lo: int, hi: int):
+    """Spin the seeds of index lo..hi-1, in key order: block k holds the
+    p^k seeds unit(k) | decode(o), o < p^k, from index 1 + (p^k - 1)/(p - 1)
+    on (at p = 2, seed t is the vector of key t)."""
     space = module.space
     found: set = set()
     rejected: set = set()
-    # seeds in base-p key order: add 1, carry each lane that reached p
-    # (for p = 2, w = 1 and the int addition carries by itself)
+    # within a block, seeds in base-p key order: add 1, carry each lane
+    # that reached p; no carry reaches lane k (for p = 2, w = 1 and the int
+    # addition carries by itself)
     p, w = space.p, space.w
     lane, carry = (1 << w) - 1, (1 << w) - p
-    seed = space.decode(lo) - 1  # the first step lands on decode(lo)
-    for _ in range(lo, hi):
-        seed += 1
-        j = 0
-        while (seed >> j) & lane == p:
-            seed += carry << j
-            j += w
-        rows = spin(module, seed, abort_dim=target_dim, abort_below=seed)
-        if rows is None or len(rows) != target_dim:
+    end = 1
+    for k in range(space.n):
+        start, end = end, end + p ** k  # block k: indices [start, end)
+        a, b = max(lo, start), min(hi, end)
+        if a >= b:
             continue
-        if rows in found or rows in rejected:
-            continue
-        ok = True
-        for member in space.span_members(rows):
-            sub = spin(module, member, abort_dim=target_dim)
-            if sub is None or len(sub) != target_dim:
-                ok = False
-                break
-        if ok:
-            found.add(rows)
-        else:
-            rejected.add(rows)
+        # the first step lands on unit(k) | decode(a - start)
+        seed = (space.unit(k) | space.decode(a - start)) - 1
+        for _ in range(a, b):
+            seed += 1
+            j = 0
+            while (seed >> j) & lane == p:
+                seed += carry << j
+                j += w
+            rows = spin(module, seed, abort_dim=target_dim, abort_below=seed)
+            if rows is None or len(rows) != target_dim:
+                continue
+            if rows in found or rows in rejected:
+                continue
+            ok = True
+            for line in space.span_lines(rows):
+                sub = spin(module, line, abort_dim=target_dim)
+                if sub is None or len(sub) != target_dim:
+                    ok = False
+                    break
+            if ok:
+                found.add(rows)
+            else:
+                rejected.add(rows)
     return found, rejected
 
 
@@ -139,12 +156,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _scan_plan(total: int, parallelism: int) -> tuple[int, list]:
-    """(worker processes, contiguous seed ranges covering [1, total)): the
-    pool size is min(parallelism, number of ranges, usable CPUs)."""
+def _scan_plan(seeds: int, parallelism: int) -> tuple[int, list]:
+    """(worker processes, contiguous ranges of seed indices covering
+    [1, seeds + 1)): the pool size is min(parallelism, number of ranges,
+    usable CPUs)."""
     workers = min(parallelism, _usable_cpus())
-    chunk = -(-(total - 1) // (workers * SCAN_RANGES_PER_WORKER))
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
+    chunk = -(-seeds // (workers * SCAN_RANGES_PER_WORKER))
+    ranges = [(lo, min(lo + chunk, seeds + 1))
+              for lo in range(1, seeds + 1, chunk)]
     return min(workers, len(ranges)), ranges
 
 
@@ -155,20 +174,21 @@ def enumerate_irreducible_submodules(module: Module, target_dim: int,
     exhaustive seed scan; deterministic and independent of parallelism
     (abort_below makes each subspace's verdict independent of how the
     seeds are split)."""
-    total = module.p ** module.dim
-    if total > cap:
+    p = module.p
+    if p ** module.dim > cap:
         raise CapacityError(
             f"exhaustive enumeration needs p^dim <= {cap}; restrict to one "
             f"level or one isotypic block instead")
+    seeds = (p ** module.dim - 1) // (p - 1)
     workers = 1
-    if parallelism > 1 and total >= PARALLEL_MIN_SEEDS:
-        workers, ranges = _scan_plan(total, parallelism)
+    if parallelism > 1 and seeds >= PARALLEL_MIN_SEEDS:
+        workers, ranges = _scan_plan(seeds, parallelism)
     if workers == 1:
-        found, _ = _scan_range(module, target_dim, 1, total)
+        found, _ = _scan_range(module, target_dim, 1, seeds + 1)
     else:
         # imported here: serial callers do not pay its memory
         from concurrent.futures import ProcessPoolExecutor
-        args = (module.p, module.dim, module.generator_images, target_dim)
+        args = (p, module.dim, module.generator_images, target_dim)
         found = set()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_scan_task, *args, lo, hi)

@@ -30,11 +30,15 @@ def test_canon_is_a_span_invariant():
 
 
 def test_span_members_count():
-    space = VecSpace(3, 4)
-    rows = space.canon([space.unit(0), space.unit(2)])
-    members = list(space.span_members(rows))
-    assert len(members) == 3 ** 2 - 1
-    assert len(set(members)) == 8
+    # one vector per line: (p^k - 1)/(p - 1), leading coefficient 1, ascending
+    for p, n, units in ((3, 4, (0, 2)), (5, 5, (0, 3, 4)), (2, 5, (1, 2, 4))):
+        space = VecSpace(p, n)
+        rows = space.canon([space.unit(j) for j in units])
+        lines = list(space.span_lines(rows))
+        assert len(lines) == (p ** len(rows) - 1) // (p - 1)
+        assert lines == sorted(set(lines))
+        assert all(space.component(v, space.pivot(v)) == 1 for v in lines)
+        assert len({space.canon([v]) for v in lines}) == len(lines)
 
 
 def test_kernel_of_projection():
@@ -209,15 +213,18 @@ class TupleSpace:
                 acc[i] += c * col[i]
         return tuple(a % self.p for a in acc)
 
-    def span_members(self, rows):
-        for idx in range(1, self.p ** len(rows)):
-            t = idx
-            acc = [0] * self.n
-            for r in rows:
-                t, c = divmod(t, self.p)
-                for i in range(self.n):
-                    acc[i] = (acc[i] + c * r[i]) % self.p
-            yield tuple(acc)
+    def span_lines(self, rows):
+        """Row i plus each combination of the rows below it, the lowest
+        row taking the least significant digit."""
+        for i in range(len(rows) - 1, -1, -1):
+            below = rows[i + 1:]
+            for idx in range(self.p ** len(below)):
+                t = idx
+                acc = rows[i]
+                for r in reversed(below):
+                    t, c = divmod(t, self.p)
+                    acc = tuple((a + c * b) % self.p for a, b in zip(acc, r))
+                yield acc
 
 
 def as_tuple(space, v):
@@ -249,8 +256,8 @@ def test_lane_codec_matches_tuple_reference(p, n):
         key = space.canon(lanes)
         assert as_tuples(space, key) == ref.canon(rows)
         if p ** k <= 400:
-            assert [as_tuple(space, v) for v in space.span_members(key)] \
-                == list(ref.span_members(as_tuples(space, key)))
+            assert [as_tuple(space, v) for v in space.span_lines(key)] \
+                == list(ref.span_lines(as_tuples(space, key)))
         # images of rank at most k
         images = [tuple(sum(rng.randrange(p) * r[i] for r in rows) % p
                         for i in range(n)) for _ in range(n)]

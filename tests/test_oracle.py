@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -59,7 +60,7 @@ def test_spin_idempotent_and_seed_independent():
     mod = real.level_module(7)
     seed = 1
     rows = spin(mod, seed)
-    for w in mod.space.span_members(rows):
+    for w in mod.space.span_lines(rows):
         assert spin(mod, w) == rows
 
 
@@ -92,11 +93,12 @@ def test_enumerate_deterministic_under_parallelism():
     assert enumerate_irreducible_submodules(mod, 3, parallelism=7) == base
 
 
-@pytest.mark.parametrize("p,d,mult", [(2, 3, 4), (3, 2, 4)])
+@pytest.mark.parametrize("p,d,mult", [(2, 2, 7), (3, 3, 3)])
 def test_process_pool_scan_matches_serial(p, d, mult):
-    # 4096 and 6561 seeds: at or above the cut-off for worker processes
+    # 16383 and 9841 seeds (one per line): above the cut-off for worker
+    # processes
     mod = scalar_tower_module(p, d, mult)
-    assert p ** mod.dim >= oracle_module.PARALLEL_MIN_SEEDS
+    assert (p ** mod.dim - 1) // (p - 1) >= oracle_module.PARALLEL_MIN_SEEDS
     base = enumerate_irreducible_submodules(mod, d, parallelism=1)
     assert len(base) == subspace_count_law(d, mult, p)
     for n in (2, 3):
@@ -106,14 +108,15 @@ def test_process_pool_scan_matches_serial(p, d, mult):
 def test_scan_plan_caps_workers_at_usable_cpus(monkeypatch):
     # only the plan is computed here: no pool is started
     assert oracle_module._usable_cpus() >= 1
-    for cpus, parallelism, total, workers in (
+    for cpus, parallelism, seeds, workers in (
             (2, 8, 1 << 21, 2), (2, 2, 4096, 2), (64, 8, 1 << 21, 8),
-            (64, 10 ** 9, 4096, 64), (64, 8, 5, 4), (1, 8, 1 << 21, 1)):
+            (64, 10 ** 9, 4096, 64), (64, 8, 4, 4), (1, 8, 1 << 21, 1)):
         monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: cpus)
-        got, ranges = oracle_module._scan_plan(total, parallelism)
+        got, ranges = oracle_module._scan_plan(seeds, parallelism)
         assert got == workers == min(parallelism, len(ranges), cpus)
-        # contiguous ranges covering [1, total), about 16 per worker
-        assert ranges[0][0] == 1 and ranges[-1][1] == total
+        # contiguous ranges covering the seed indices [1, seeds + 1), about
+        # 16 per worker
+        assert ranges[0][0] == 1 and ranges[-1][1] == seeds + 1
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         assert len(ranges) <= min(parallelism, cpus) * \
             oracle_module.SCAN_RANGES_PER_WORKER
@@ -154,7 +157,15 @@ def test_spin_result_is_canon_of_the_closure(p):
                                           (5, 3, 24, 101), (2, 6, 5, 64),
                                           (7, 2, 48, 49)])
 def test_scan_steps_seeds_in_key_order(monkeypatch, p, dim, lo, hi):
+    # the seeds are the vectors with leading coordinate 1, in key order;
+    # seed index t is the t-th of them
     mod = trivial_module(p, dim)
+    space = mod.space
+    vecs = [space.decode(k) for k in range(1, p ** dim)]
+    keys = [k for k, v in enumerate(vecs, 1)
+            if space.component(v, space.pivot(v)) == 1]
+    assert len(keys) == (p ** dim - 1) // (p - 1)
+    lines = [vecs[k - 1] for k in keys]
     seeds = []
     real_spin = oracle_module.spin
 
@@ -163,9 +174,94 @@ def test_scan_steps_seeds_in_key_order(monkeypatch, p, dim, lo, hi):
             seeds.append(seed)
         return real_spin(module, seed, abort_dim, abort_below)
 
+    def scanned(ranges) -> list:
+        seeds.clear()
+        for a, b in ranges:
+            oracle_module._scan_range(mod, 1, a, b)
+        return list(seeds)
+
     monkeypatch.setattr(oracle_module, "spin", recording_spin)
-    oracle_module._scan_range(mod, 1, lo, hi)
-    assert seeds == [mod.space.decode(k) for k in range(lo, hi)]
+    # the index range of the keys lo..hi-1
+    a, b = 1 + bisect_left(keys, lo), 1 + bisect_left(keys, hi)
+    assert scanned([(a, b)]) == [space.decode(k) for k in keys
+                                 if lo <= k < hi]
+    # ranges starting and ending at, just before and just after the start
+    # 1 + (p^k - 1)/(p - 1) of every block k
+    starts = [1 + (p ** k - 1) // (p - 1) for k in range(dim + 1)]
+    ends = sorted({t for s in starts for t in (s - 1, s, s + 1)
+                   if 1 <= t <= len(keys) + 1})
+    for a in ends:
+        for b in ends:
+            if a <= b:
+                assert scanned([(a, b)]) == lines[a - 1:b - 1], (a, b)
+    # the ranges of every scan plan together cover every line once, in order
+    for cpus, parallelism in ((1, 1), (2, 2), (2, 8), (64, 64)):
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: cpus)
+        _, ranges = oracle_module._scan_plan(len(keys), parallelism)
+        assert scanned(ranges) == lines
+
+
+def full_scan_reference(module: Module, target_dim: int) -> tuple:
+    """The exhaustive scan before seeds were taken one per line: spin every
+    nonzero vector, and check irreducibility on every nonzero member."""
+    space, p = module.space, module.p
+    found: set = set()
+    rejected: set = set()
+    for key in range(1, p ** module.dim):
+        seed = space.decode(key)
+        rows = spin(module, seed, abort_dim=target_dim, abort_below=seed)
+        if rows is None or len(rows) != target_dim:
+            continue
+        if rows in found or rows in rejected:
+            continue
+        members = [0]
+        for r in rows:
+            multiples = [space.smul(c, r) for c in range(1, p)]
+            members += [space.add(m, x) for x in multiples for m in members]
+        irreducible = all(
+            (sub := spin(module, m, abort_dim=target_dim)) is not None
+            and len(sub) == target_dim for m in members[1:])
+        (found if irreducible else rejected).add(rows)
+    return tuple(sorted(found))
+
+
+def _conjugated(mod: Module, rng) -> Module:
+    """mod in a random basis: the same module, with other seeds minimal."""
+    space, p, n = mod.space, mod.p, mod.dim
+    while True:
+        basis = [space.from_coords(rng.randrange(p) for _ in range(n))
+                 for _ in range(n)]
+        if len(space.canon(basis)) == n:
+            break
+    # g' = B^-1 g B on coordinates: the images of basis vectors, solved back
+    return Module(p, n, [[space.from_coords(space.solve(basis, img))
+                          for img in space.compose(g, basis)]
+                         for g in mod.generator_images])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_projective_scan_matches_the_full_scan(p):
+    rng = random.Random(p)
+    max_dim = {3: 6, 5: 4, 7: 3}[p]  # p^dim at most 2401
+    mods = [scalar_tower_module(p, d, mult)
+            for d in range(1, max_dim + 1)
+            for mult in range(1, max_dim // d + 1)]
+    mods += [_conjugated(m, rng) for m in mods if m.dim > 1]
+    for _ in range(12):
+        dim = rng.randrange(1, max_dim + 1)
+        space = VecSpace(p, dim)
+        mods.append(Module(p, dim, [
+            [space.from_coords(rng.randrange(p) if rng.random() < 0.4 else 0
+                               for _ in range(dim)) for _ in range(dim)]
+            for _ in range(rng.randrange(1, 3))]))
+    nonempty = 0
+    for mod in mods:
+        for target_dim in range(1, mod.dim + 1):
+            ref = full_scan_reference(mod, target_dim)
+            assert enumerate_irreducible_submodules(mod, target_dim) == ref, \
+                (mod.generator_images, target_dim)
+            nonempty += bool(ref)
+    assert nonempty >= len(mods)  # every module has irreducibles
 
 
 def test_enumerate_capacity_error_mentions_fallback():
