@@ -2,14 +2,18 @@
 
 Elements are plain ints in [0, p^m): the base-p digits of the int are the
 coefficients of the residue polynomial, constant term in the least
-significant digit.  For p = 2 that encoding is the packed bit polynomial
-and arithmetic uses carry-less integer ops; odd characteristic works on
-digit tuples.  Construction is canonical: the modulus is the first monic
-irreducible of degree m in ascending integer encoding, the generator the
-least element of full multiplicative order, so two contexts built from
-equal (p, m) are identical.  Candidates are tested with Ben-Or's
-distinct-degree test, which rejects a reducible polynomial at its least
-factor degree, usually after one Frobenius step.
+significant digit.  Arithmetic runs on their linalg vectors (the one F_p
+codec: VecSpace.decode and encode) in the ring F_p[x]/(f).  For p = 2 a
+product is carry-less on the packed bits; for odd p it is one int product
+of the lane-packed vectors, one Barrett step on every lane, and a fold of
+the m - 1 high lanes by the rows x^(m+j) mod f.  A lane then sums up to m
+products a*b (a, b < p), so the ring refuses odd p with m > LANE_HEADROOM,
+a degree FIELD_CEILING already excludes.  Construction is canonical: the
+modulus is the first monic irreducible of degree m in ascending integer
+encoding, the generator the least element of full multiplicative order, so
+two contexts built from equal (p, m) are identical.  Candidates are tested
+with Ben-Or's distinct-degree test, which rejects a reducible polynomial at
+its least factor degree, usually after one Frobenius step.
 
 Discrete logs base that generator come from baby-step giant-step inside
 the cyclic subgroup generated by the argument, and are refused (never
@@ -18,11 +22,12 @@ guessed) beyond DLOG_CAP baby steps.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import isqrt
 
 from .arith import Factorization, factorize, is_prime, order, power
 from .errors import CapacityError, DomainError, InvariantError
+from .linalg import LANE_HEADROOM, VecSpace
 
 # The one bound on p^m: building GF(p^m) factors p^m - 1, and 2^64 keeps
 # that below arith.PRIMALITY_BOUND while admitting GF(2^63) for the oracle.
@@ -37,16 +42,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod(prod, f, p)[1]
 
 
 def _poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -79,28 +74,25 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _poly_pow_p(a: list[int], f: list[int], p: int) -> list[int]:
-    """a^p mod f."""
-    return power(a, p, partial(_poly_mulmod, f=f, p=p), [1])
-
-
 def _is_irreducible(f: list[int], p: int) -> bool:
     """Ben-Or test: monic f of degree m is irreducible over F_p iff
     gcd(f, x^(p^i) - x) = 1 for i = 1..m//2.  A reducible f has a factor
     of degree at most m//2 and is refused at the least such degree, so
     most candidates leave after one Frobenius step."""
-    t = [0, 1]
-    for _ in range((len(f) - 1) // 2):
-        t = _poly_pow_p(t, f, p)
-        diff = t + [0] * (2 - len(t))  # t - x
-        diff[1] = (diff[1] - 1) % p
-        if len(_poly_gcd(f, diff, p)) != 1:
+    m = len(f) - 1
+    ring = _ResidueRing(p, f)
+    space = ring.space
+    t = x = space.unit(1)
+    for _ in range(m // 2):
+        t = power(t, p, ring.mul, 1)
+        diff = space.add(t, space.smul(-1, x))  # t - x
+        if len(_poly_gcd(f, [space.component(diff, j) for j in range(m)], p)) != 1:
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# packed GF(2^m) kernels
+# the residue ring: carry-less kernels for p = 2, lane products for odd p
 
 def _clmul(a: int, b: int) -> int:
     r = 0
@@ -120,6 +112,39 @@ def _bit_reduce(r: int, fbits: int, m: int) -> int:
     return r
 
 
+class _ResidueRing:
+    """F_p[x]/(f) for monic f of degree m (little-endian coefficients); its
+    residues are VecSpace(p, m) vectors."""
+
+    def __init__(self, p: int, f) -> None:
+        m = len(f) - 1
+        if p != 2 and m > LANE_HEADROOM:
+            raise CapacityError(
+                f"a product in F_{p}[x]/(f) of degree {m} sums {m} products "
+                f"per lane, over LANE_HEADROOM = {LANE_HEADROOM}")
+        self.p, self.m = p, m
+        self.space = space = VecSpace(p, m)
+        if p == 2:
+            self._fbits = sum(c << i for i, c in enumerate(f))
+            return
+        self._wide = VecSpace(p, 2 * m - 1)
+        self._shift = m * space.w
+        self._low = (1 << self._shift) - 1
+        row = space.from_coords(-c for c in f[:m])  # x^m mod f
+        self._rows = []
+        for _ in range(m - 1):  # x^(m+j) mod f for j in [0, m-2]
+            self._rows.append(row)
+            row = space.add(row << space.w & self._low,  # x * row
+                            space.smul(space.component(row, m - 1), self._rows[0]))
+
+    def mul(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return _bit_reduce(_clmul(a, b), self._fbits, self.m)
+        prod = self._wide._lanes(a * b)
+        high = self.space.compose(self._rows, (prod >> self._shift,))[0]
+        return self.space.add(prod & self._low, high)
+
+
 class FieldCtx:
     """Immutable-after-construction context for GF(p^m)."""
 
@@ -135,17 +160,7 @@ class FieldCtx:
         self.order_factorization: Factorization = (
             factorize(self.mult_order) if self.mult_order > 1 else ())
         self.modulus = self._find_modulus()
-        self._fbits = sum(c << i for i, c in enumerate(self.modulus)) if p == 2 else 0
-        # x^(m+j) mod f for j in [0, m-2], used to fold products (odd p).
-        self._fold: list[tuple[int, ...]] = []
-        if p != 2 and m > 1:
-            f = list(self.modulus)
-            t = [0] * m + [1]
-            t = _poly_divmod(t, f, p)[1]
-            for _ in range(m - 1):
-                t = t + [0] * (m - len(t))
-                self._fold.append(tuple(t))
-                t = _poly_divmod([0] + t, f, p)[1]
+        self._ring = _ResidueRing(p, self.modulus)
         self._order_memo: dict[int, int] = {}
         self.generator = self._find_generator()
 
@@ -153,10 +168,10 @@ class FieldCtx:
 
     def _find_modulus(self) -> tuple[int, ...]:
         p, m = self.p, self.m
-        if m == 1:
-            return (0, 1)
+        space = VecSpace(p, m)
         for k in range(p ** m):
-            coeffs = self._digits_of(k) + (1,)
+            v = space.decode(k)
+            coeffs = tuple(space.component(v, j) for j in range(m)) + (1,)
             if _is_irreducible(list(coeffs), p):
                 return coeffs
         raise DomainError("no irreducible polynomial found")  # unreachable
@@ -170,64 +185,17 @@ class FieldCtx:
                 return k
         raise DomainError("no generator found")  # unreachable
 
-    # -- encoding ----------------------------------------------------------
-
-    def _digits_of(self, k: int) -> tuple[int, ...]:
-        p, m = self.p, self.m
-        out = []
-        for _ in range(m):
-            k, r = divmod(k, p)
-            out.append(r)
-        return tuple(out)
-
-    def from_digits(self, coeffs) -> int:
-        v = 0
-        for c in reversed(tuple(coeffs)):
-            v = v * self.p + c % self.p
-        return v
-
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.from_digits(
-            x + y for x, y in zip(self._digits_of(a), self._digits_of(b)))
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return self.from_digits(-x for x in self._digits_of(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return _bit_reduce(_clmul(a, b), self._fbits, self.m)
-        p, m = self.p, self.m
-        if self.m == 1:
-            return a * b % p
-        da, db = self._digits_of(a), self._digits_of(b)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = [c % p for c in prod[:m]]
-        for j in range(m - 1):
-            c = prod[m + j] % p
-            if c:
-                fold = self._fold[j]
-                for i in range(m):
-                    out[i] = (out[i] + c * fold[i]) % p
-        return self.from_digits(out)
+        space = self._ring.space
+        return space.encode(self._ring.mul(space.decode(a), space.decode(b)))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        return power(a, e, self.mul, 1)
+        space = self._ring.space
+        return space.encode(power(space.decode(a), e, self._ring.mul, 1))
 
     def inv(self, a: int) -> int:
         if a == 0:

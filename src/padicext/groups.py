@@ -150,8 +150,8 @@ def coset_generator(c: int, p: int) -> int:
 def nonsplit_index(c: int, beta_residue: int, p: int, ell: int) -> int:
     """Class index 1..ell-1 of beta (an element of F_p*, as an int mod p):
     the discrete log of beta base coset_generator(c, p), reduced mod ell."""
-    h, x = coset_generator(c, p), 1
-    for k in range(gcd(c, p - 1)):
+    h, x, g1 = coset_generator(c, p), 1, gcd(c, p - 1)
+    for k in range(g1):
         if x == beta_residue % p:
             j = k % ell
             if j == 0:

@@ -10,9 +10,13 @@ H*(p-1) < 2^s and m = ceil(2^s/p), so (x*m) >> s == x // p for x <= H; w is
 the bit length of H*m, so x*m never carries into the next lane; qmask keeps
 the low w - s bits of each lane.  Row operations reduce after every
 LANE_HEADROOM - 1 steps, and a map or product whose lane sums could pass H
-is refused with CapacityError when it is built.
+is refused with CapacityError when it is built.  A product of two vectors
+as ints (Kronecker substitution) sums up to n products per lane, so
+ffield's residue ring, which multiplies GF(p^n) elements that way, caps n
+at LANE_HEADROOM.
 
-Reduced vectors compare like their base-p keys (coordinate n - 1 most
+decode and encode map vectors to and from base-p keys (the ffield element
+encoding); reduced vectors compare like their keys (coordinate n - 1 most
 significant).  Subspaces are reduced row echelon bases, pivots descending
 and pivot coefficient 1: a unique hashable key.  Dimensions stay below
 ~100, so O(n^2) row operations are fine; applying a fixed map, the hot
@@ -91,6 +95,16 @@ class VecSpace:
             key, r = divmod(key, p)
             v |= r << (j * w)
         return v
+
+    def encode(self, v: int) -> int:
+        """The inverse of decode: the key whose base-p digits are v's
+        coordinates."""
+        if self.p == 2:
+            return v
+        key = 0
+        for j in range(self.n - 1, -1, -1):
+            key = key * self.p + self.component(v, j)
+        return key
 
     # -- echelon bases --------------------------------------------------------
 

@@ -385,28 +385,21 @@ class LevelRealization:
 
     def beta_min_poly(self, m: int, orbit: tuple[int, ...]) -> list[int]:
         """Coefficients over F_p of prod_{b in orbit} (y - xi^b) for xi the
-        canonical primitive m-th root in its minimal field."""
+        canonical primitive m-th root in its minimal field: the monic
+        relation among the powers 0..len(orbit) of xi^orbit[0]."""
         p = self.p
         if m == 1 or orbit == (0,):
             return [(-1) % p, 1]
         deg = multiplicative_order(p, m)
         aux_field = make_field(p, deg)
-        xi = aux_field.root_of_unity(m)
-        poly = [1]
-        for b in orbit:
-            root = aux_field.pow(xi, b)
-            nxt = [0] * (len(poly) + 1)
-            for k, ck in enumerate(poly):
-                nxt[k + 1] = aux_field.add(nxt[k + 1], ck)
-                nxt[k] = aux_field.sub(nxt[k], aux_field.mul(ck, root))
-            poly = nxt
-        out = []
-        for ck in poly:
-            if ck >= p:
-                raise InvariantError(
-                    "minimal polynomial coefficients left the prime field")
-            out.append(ck)
-        return out
+        root = aux_field.pow(aux_field.root_of_unity(m), orbit[0])
+        space = VecSpace(p, deg + 1)  # room for the deg + 1 powers
+        ker = space.kernel([space.decode(aux_field.pow(root, k))
+                            for k in range(len(orbit) + 1)])
+        if len(ker) != 1 or space.pivot(ker[0]) != len(orbit):
+            raise InvariantError(f"xi^{orbit[0]} (m = {m}) has no minimal "
+                                 f"polynomial of degree {len(orbit)} over F_{p}")
+        return [space.component(ker[0], k) for k in range(len(orbit) + 1)]
 
     def beta_kernel(self, i: int, s: int, m: int, orbit: tuple[int, ...]) -> tuple:
         """Canonical basis of ker m_B(v^s) inside level i (as ambient rows)."""

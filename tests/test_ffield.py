@@ -1,14 +1,44 @@
 """Finite field context tests: canonical construction, axioms, orders."""
 
 import random
+from functools import partial
 
 import pytest
 
-from padicext.arith import divisors, euler_phi, factorize
+from padicext.arith import divisors, euler_phi, factorize, power
 from padicext.errors import CapacityError, DomainError
-from padicext.ffield import (DLOG_CAP, FIELD_CEILING, FieldCtx,
-                             _is_irreducible, _poly_gcd, _poly_pow_p,
+from padicext.ffield import (DLOG_CAP, FIELD_CEILING, FieldCtx, _ResidueRing,
+                             _is_irreducible, _poly_divmod, _poly_gcd,
                              _poly_trim, make_field)
+from padicext.linalg import LANE_HEADROOM, VecSpace
+
+
+def field_add(ctx, x: int, y: int) -> int:
+    """x + y in GF(p^m): the sum of the decoded vectors."""
+    space = VecSpace(ctx.p, ctx.m)
+    return space.encode(space.add(space.decode(x), space.decode(y)))
+
+
+def field_neg(ctx, x: int) -> int:
+    """-x in GF(p^m): the decoded vector times -1."""
+    space = VecSpace(ctx.p, ctx.m)
+    return space.encode(space.smul(-1, space.decode(x)))
+
+
+def mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """Reference residue product: schoolbook a*b, then division by f."""
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+    return _poly_divmod(prod, f, p)[1]
+
+
+def pow_p(a: list[int], f: list[int], p: int) -> list[int]:
+    """a^p mod f by the reference product."""
+    return power(a, p, partial(mulmod, f=f, p=p), [1])
 
 GRID = [(2, 2), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 2), (5, 3),
         (7, 2), (11, 2), (13, 2)]
@@ -34,7 +64,7 @@ def test_generator_of_f9_has_order_eight():
     ctx = make_field(3, 2)
     g = ctx.generator
     assert ctx.element_order(g) == 8
-    assert ctx.pow(g, 4) == ctx.neg(1)  # g^4 = -1 != 1
+    assert ctx.pow(g, 4) == field_neg(ctx, 1)  # g^4 = -1 != 1
 
 
 def test_prime_order_group_every_element_generates():
@@ -50,12 +80,12 @@ def test_field_axioms_sampled():
         ctx = make_field(p, m)
         for _ in range(120):
             x, y, z = (rng.randrange(ctx.order) for _ in range(3))
-            assert ctx.add(x, y) == ctx.add(y, x)
+            add = partial(field_add, ctx)
+            assert add(x, y) == add(y, x)
             assert ctx.mul(x, y) == ctx.mul(y, x)
-            assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y),
-                                                        ctx.mul(x, z))
+            assert ctx.mul(x, add(y, z)) == add(ctx.mul(x, y), ctx.mul(x, z))
             assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
-            assert ctx.add(x, ctx.neg(x)) == 0
+            assert add(x, field_neg(ctx, x)) == 0
             if x:
                 assert ctx.mul(x, ctx.inv(x)) == 1
 
@@ -66,7 +96,8 @@ def test_frobenius_is_a_field_automorphism():
         ctx = make_field(p, m)
         for _ in range(60):
             x, y = rng.randrange(ctx.order), rng.randrange(ctx.order)
-            assert ctx.frob(ctx.add(x, y)) == ctx.add(ctx.frob(x), ctx.frob(y))
+            assert ctx.frob(field_add(ctx, x, y)) == \
+                field_add(ctx, ctx.frob(x), ctx.frob(y))
             assert ctx.frob(ctx.mul(x, y)) == ctx.mul(ctx.frob(x), ctx.frob(y))
         x = rng.randrange(ctx.order)
         t = x
@@ -157,7 +188,8 @@ def test_dlog_refuses_exactly_the_orders_above_2_32():
 
 def _rabin_is_irreducible(f: list[int], p: int) -> bool:
     """Reference: Rabin's test, which runs all m Frobenius steps, then one
-    gcd per prime divisor q of m with x^(p^(m/q)) - x."""
+    gcd per prime divisor q of m with x^(p^(m/q)) - x; its products are
+    the schoolbook mulmod, not the residue ring Ben-Or uses."""
     def minus_x(t):
         diff = t + [0] * (2 - len(t))
         diff[1] = (diff[1] - 1) % p
@@ -168,13 +200,13 @@ def _rabin_is_irreducible(f: list[int], p: int) -> bool:
         return True
     t = [0, 1]
     for _ in range(m):
-        t = _poly_pow_p(t, f, p)
+        t = pow_p(t, f, p)
     if _poly_trim(minus_x(t)):
         return False
     for q, _ in factorize(m):
         t = [0, 1]
         for _ in range(m // q):
-            t = _poly_pow_p(t, f, p)
+            t = pow_p(t, f, p)
         diff = minus_x(t)
         if not _poly_trim(list(diff)):
             return False
@@ -225,3 +257,71 @@ def test_ben_or_matches_sympy():
         assert _is_irreducible(f, p) == want, (p, f)
         seen_irreducible += want
     assert seen_irreducible >= 20
+
+
+# ---------------------------------------------------------------------------
+# the residue ring against the schoolbook product and against sympy
+
+def _ring_mul(p: int, f: list[int], a: list[int], b: list[int]) -> list[int]:
+    """a*b mod f through the residue ring, as a trimmed coefficient list
+    (compared with _reference_mul)."""
+    ring = _ResidueRing(p, f)
+    space = ring.space
+    v = ring.mul(space.from_coords(a), space.from_coords(b))
+    return _poly_trim([space.component(v, j) for j in range(len(f) - 1)])
+
+
+def _reference_mul(p: int, f: list[int], a: list[int], b: list[int]) -> list[int]:
+    return _poly_trim(mulmod(a, b, f, p))
+
+
+def test_ring_product_matches_schoolbook_on_random_monic_moduli():
+    rng = random.Random(20261019)
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, LANE_HEADROOM + 1):
+            f = [rng.randrange(p) for _ in range(m)] + [1]
+            for _ in range(2):
+                a = [rng.randrange(p) for _ in range(m)]
+                b = [rng.randrange(p) for _ in range(m)]
+                assert _ring_mul(p, f, a, b) == _reference_mul(p, f, a, b), \
+                    (p, f, a, b)
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_ring_product_at_the_worst_case_lane_growth(p):
+    # every coefficient p - 1: each of the 2m - 1 product lanes before the
+    # Barrett step holds up to m = LANE_HEADROOM products (p-1)^2
+    m = LANE_HEADROOM
+    top = [p - 1] * m
+    for f in (top + [1], [1] + [0] * (m - 1) + [1]):
+        assert _ring_mul(p, f, top, top) == _reference_mul(p, f, top, top)
+
+
+def test_ring_refuses_odd_degrees_past_the_lane_headroom():
+    m = LANE_HEADROOM + 1
+    with pytest.raises(CapacityError, match="LANE_HEADROOM = 64"):
+        _ResidueRing(3, [1] * m + [1])
+    f = [1, 1] + [0] * (m - 2) + [1]  # p = 2 has no lanes to overflow
+    ones = [1] * m
+    assert _ring_mul(2, f, ones, ones) == _reference_mul(2, f, ones, ones)
+
+
+def test_field_products_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(40)
+    for p, m in ((3, 40), (5, 24), (2, 63)):
+        ctx = make_field(p, m)
+        space = VecSpace(p, m)
+        modulus = sympy.Poly(list(reversed(ctx.modulus)), x, modulus=p)
+
+        def poly(key):
+            v = space.decode(key)
+            return sympy.Poly([space.component(v, j)
+                               for j in reversed(range(m))], x, modulus=p)
+
+        for _ in range(10):
+            a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
+            want = sympy.rem(poly(a) * poly(b), modulus)
+            got = poly(ctx.mul(a, b))
+            assert (got - want).is_zero, (p, m, a, b)

@@ -10,11 +10,13 @@ from padicext.census import ExtensionParams, census_by_group
 from padicext.errors import CapacityError, DomainError, InvariantError
 from padicext.ffield import FieldCtx, make_field
 from padicext.groups import (MonomialMatrix, catalog, closure_elements,
-                             frobenius_rep, generator_matrices, power_sum,
-                             regular_rep, split_class)
+                             frobenius_rep, generator_matrices, nonsplit_index,
+                             power_sum, regular_rep, split_class)
 from padicext.linalg import VecSpace
 from padicext.oracle import (_mat_mul, classify_submodule,
                              matrix_group_elements)
+
+from test_ffield import field_neg
 
 
 def monomial_inv(m: MonomialMatrix, ctx) -> MonomialMatrix:
@@ -88,7 +90,7 @@ def test_identity_pair_for_alpha_beta_one():
 
 def test_v_squared_is_scalar_for_ell_two():
     ctx = make_field(3, 2)
-    beta = ctx.neg(1)
+    beta = field_neg(ctx, 1)
     pair = generator_matrices(ctx, ctx.generator, beta, 2)
     v2 = pair.V.mul(pair.V, ctx)
     assert v2.shift == 0 and v2.coeffs == (beta, beta)
@@ -110,10 +112,17 @@ def test_split_class_contract_examples():
     params = ExtensionParams(3, 2, 1, 1)
     a8 = ctx.root_of_unity(8)
     a4 = ctx.root_of_unity(4)
-    m1 = ctx.neg(1)
+    m1 = field_neg(ctx, 1)
     assert split_class(ctx, a8, 1, params) == ("split", 0)
     assert split_class(ctx, a4, m1, params) == ("nonsplit", 1)
     assert split_class(ctx, a8, m1, params) == ("split", 0)
+
+
+def test_nonsplit_index_refuses_beta_outside_the_coset_subgroup():
+    # c = 2, p = 7: gcd(c, p - 1) = 2, so only 1 and 6 are in the subgroup
+    with pytest.raises(DomainError, match="3 is not in the order-2 subgroup mod 7"):
+        nonsplit_index(2, 3, 7, 2)
+    assert nonsplit_index(2, 6, 7, 2) == 1
 
 
 def test_split_class_rejects_beta_outside_prime_field():
@@ -323,7 +332,7 @@ def test_closure_when_coefficient_order_exceeds_group_order():
         assert len(closure_elements([v], ctx)) == 2
         assert from_keys(closure_elements([v], ctx), 2, ctx) == \
             field_closure([v], ctx)
-        t = MonomialMatrix(2, 0, (ctx.neg(1), 1))
+        t = MonomialMatrix(2, 0, (field_neg(ctx, 1), 1))
         assert len(closure_elements([v, t], ctx)) == len(field_closure([v, t], ctx))
 
 

@@ -9,6 +9,7 @@ import pytest
 from padicext import oracle as oracle_module
 from padicext.action import (constituents, default_aux_data, level_indices,
                              make_aux_data)
+from padicext.arith import multiplicative_order
 from padicext.census import ExtensionParams
 from padicext.errors import CapacityError, DomainError, InvariantError
 from padicext.ffield import FIELD_CEILING, make_field
@@ -18,6 +19,7 @@ from padicext.oracle import (LevelRealization, Module, classify_submodule,
                              enumerate_irreducible_submodules, oracle_census,
                              spin, subspace_count_law)
 
+from test_ffield import field_add, field_neg
 from test_groups import cyclic_prime_field_model, nonabelian_prime_field_model
 
 
@@ -352,7 +354,7 @@ def test_classify_cyclic_and_nonabelian():
     ctx9 = make_field(3, 2)
     a4 = ctx9.root_of_unity(4)
     got_ns = classify_submodule(3, 2, nonabelian_prime_field_model(
-        ctx9, a4, ctx9.neg(1)))
+        ctx9, a4, field_neg(ctx9, 1)))
     assert got_ns.label == "NA(4,ns1)" and got_ns.order == 8
 
 
@@ -462,7 +464,7 @@ def _reference_beta_kernel(real, s, m, orbit):
             if k:
                 y = kappa.frob(y, real.aux.f_k * s)
             for _ in range(ck):
-                acc = kappa.add(acc, y)
+                acc = field_add(kappa, acc, y)
         images.append(real.space.decode(acc))
     return real.space.kernel(images)
 
@@ -475,6 +477,46 @@ def _beta_kernel_args(real):
         for cons in constituents(i, real.aux):
             out.add((cons.s, cons.beta_modulus, cons.beta_orbit))
     return sorted(out)
+
+
+def _reference_beta_min_poly(p, m, orbit):
+    """prod_{b in orbit} (y - xi^b), multiplied out over the aux field with
+    its sums taken on decoded vectors; the coefficients must lie in F_p."""
+    aux_field = make_field(p, multiplicative_order(p, m))
+    xi = aux_field.root_of_unity(m)
+    poly = [1]
+    for b in orbit:
+        minus_root = field_neg(aux_field, aux_field.pow(xi, b))
+        nxt = [0] * (len(poly) + 1)
+        for k, ck in enumerate(poly):
+            nxt[k + 1] = field_add(aux_field, nxt[k + 1], ck)
+            nxt[k] = field_add(aux_field, nxt[k], aux_field.mul(ck, minus_root))
+        poly = nxt
+    assert all(ck < p for ck in poly), (p, m, orbit)
+    return poly
+
+
+def test_beta_min_poly_matches_the_product_over_every_small_orbit():
+    # every orbit of b -> p*b on Z/m, m < 60 prime to p, whose field
+    # GF(p^ord_m(p)) has at most 2^40 elements
+    real = LevelRealization.__new__(LevelRealization)  # beta_min_poly reads p
+    orbits = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        real.p = p
+        for m in range(2, 60):
+            if m % p == 0 or p ** multiplicative_order(p, m) > 1 << 40:
+                continue
+            seen = set()
+            for b in range(m):
+                if b not in seen:
+                    orbit = [b]
+                    while orbit[-1] * p % m != b:
+                        orbit.append(orbit[-1] * p % m)
+                    seen.update(orbit)
+                    assert (real.beta_min_poly(m, tuple(orbit))
+                            == _reference_beta_min_poly(p, m, orbit)), (p, m, b)
+                    orbits += 1
+    assert orbits > 1000
 
 
 @pytest.mark.parametrize("point", [(5, 2, 1, 1), (3, 2, 1, 2), (3, 2, 2, 1)])
