@@ -330,7 +330,7 @@ def _cmd_crosscheck(args) -> int:
         print(f"error: fixture parse error at line {exc.lineno}, "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
-    records = fixture.get("records")
+    records = fixture.get("records") if isinstance(fixture, dict) else None
     if not isinstance(records, list):
         print("error: fixture must contain a 'records' array", file=sys.stderr)
         return EXIT_USAGE
@@ -345,6 +345,11 @@ def _cmd_crosscheck(args) -> int:
             rp = int(rec["p"]); rell = int(rec["ell"])
             re_k = int(rec["e_K"]); rf_k = int(rec["f_K"])
             expected_total = int(rec["expected_total"])
+            exp = None
+            if "by_group" in rec:
+                if not isinstance(rec["by_group"], list):
+                    raise TypeError("'by_group' is not a list")
+                exp = {g["label"]: int(g["count"]) for g in rec["by_group"]}
         except (KeyError, TypeError, ValueError) as exc:
             print(f"error: record {idx} malformed: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -361,9 +366,8 @@ def _cmd_crosscheck(args) -> int:
         ok = report.total == expected_total
         rec_verdict["total"] = {"expected": expected_total, "got": report.total,
                                 "match": ok}
-        if "by_group" in rec:
+        if exp is not None:
             got = report.counts()
-            exp = {g["label"]: int(g["count"]) for g in rec["by_group"]}
             group_ok = got == exp
             rec_verdict["by_group"] = {"expected": exp, "got": got,
                                        "match": group_ok}

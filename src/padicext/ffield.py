@@ -13,7 +13,9 @@ modulus is the first monic irreducible of degree m in ascending integer
 encoding, the generator the least element of full multiplicative order, so
 two contexts built from equal (p, m) are identical.  Candidates are tested
 with Ben-Or's distinct-degree test, which rejects a reducible polynomial at
-its least factor degree, usually after one Frobenius step.
+its least factor degree, usually after one Frobenius step.  Its gcds run on
+the same lanes, a polynomial of degree <= m as a VecSpace(p, m + 1) vector
+(coefficient j in lane j), each Euclid step a lane shift, multiple and sum.
 
 Discrete logs base that generator come from baby-step giant-step inside
 the cyclic subgroup generated by the argument, and are refused (never
@@ -36,42 +38,20 @@ DLOG_CAP = 1 << 16  # baby steps: logs in subgroups of order <= 2^32
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (little-endian coefficient lists)
+# irreducibility: Ben-Or's test on polynomials held as linalg vectors
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    q = [0] * max(0, len(a) - df)
-    while len(a) - 1 >= df and _poly_trim(a):
-        da = len(a) - 1
-        if da < df:
-            break
-        c = a[-1] * inv_lead % p
-        q[da - df] = c
-        for i, fi in enumerate(f):
-            a[da - df + i] = (a[da - df + i] - c * fi) % p
-        _poly_trim(a)
-    return q, a
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    _poly_trim(a)
-    _poly_trim(b)
+def _coprime(space: VecSpace, a: int, b: int) -> bool:
+    """Whether gcd(a, b) = 1 for polynomials held as vectors of space,
+    coefficient j in lane j: Euclid's remainders, each step cancelling the
+    top coefficient of a by a shift x^k * b."""
     while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-        _poly_trim(b)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+        db = space.pivot(b)
+        inv = pow(space.component(b, db), -1, space.p)
+        while (da := space.pivot(a)) >= db:
+            c = space.component(a, da) * inv
+            a = space.add(a, space.smul(-c, b << (da - db) * space.w))
+        a, b = b, a
+    return space.pivot(a) == 0
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
@@ -85,8 +65,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     t = x = space.unit(1)
     for _ in range(m // 2):
         t = power(t, p, ring.mul, 1)
-        diff = space.add(t, space.smul(-1, x))  # t - x
-        if len(_poly_gcd(f, [space.component(diff, j) for j in range(m)], p)) != 1:
+        if not _coprime(ring.polys, ring.f, space.add(t, space.smul(-1, x))):
             return False
     return True
 
@@ -114,7 +93,8 @@ def _bit_reduce(r: int, fbits: int, m: int) -> int:
 
 class _ResidueRing:
     """F_p[x]/(f) for monic f of degree m (little-endian coefficients); its
-    residues are VecSpace(p, m) vectors."""
+    residues are VecSpace(p, m) vectors, and f itself is held as a vector of
+    polys = VecSpace(p, m + 1), which has the same lanes."""
 
     def __init__(self, p: int, f) -> None:
         m = len(f) - 1
@@ -124,13 +104,14 @@ class _ResidueRing:
                 f"per lane, over LANE_HEADROOM = {LANE_HEADROOM}")
         self.p, self.m = p, m
         self.space = space = VecSpace(p, m)
+        self.polys = VecSpace(p, m + 1)
+        self.f = self.polys.from_coords(f)
         if p == 2:
-            self._fbits = sum(c << i for i, c in enumerate(f))
             return
         self._wide = VecSpace(p, 2 * m - 1)
         self._shift = m * space.w
         self._low = (1 << self._shift) - 1
-        row = space.from_coords(-c for c in f[:m])  # x^m mod f
+        row = space.smul(-1, self.f & self._low)  # x^m mod f
         self._rows = []
         for _ in range(m - 1):  # x^(m+j) mod f for j in [0, m-2]
             self._rows.append(row)
@@ -139,7 +120,7 @@ class _ResidueRing:
 
     def mul(self, a: int, b: int) -> int:
         if self.p == 2:
-            return _bit_reduce(_clmul(a, b), self._fbits, self.m)
+            return _bit_reduce(_clmul(a, b), self.f, self.m)
         prod = self._wide._lanes(a * b)
         high = self.space.compose(self._rows, (prod >> self._shift,))[0]
         return self.space.add(prod & self._low, high)

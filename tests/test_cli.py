@@ -129,6 +129,23 @@ def test_crosscheck_empty_filter_is_an_error(tmp_path):
     assert "no records" in proc.stderr
 
 
+@pytest.mark.parametrize("fixture", [
+    [1, 2],  # top level not an object
+    {"records": [{"p": 2, "ell": 3, "e_K": 1, "f_K": 1, "expected_total": 16,
+                  "by_group": [{"count": 2}]}]},  # an entry without label
+    {"records": [{"p": 2, "ell": 3, "e_K": 1, "f_K": 1, "expected_total": 16,
+                  "by_group": 5}]},  # by_group not a list
+], ids=["top-level-list", "entry-without-label", "by-group-not-a-list"])
+def test_crosscheck_malformed_fixture_is_a_usage_error(tmp_path, fixture):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(fixture))
+    proc = run_cli("crosscheck", "--fixture", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_one():
     assert run_cli("count", "--p", "4", "--ell", "3", "--eK", "1",
                    "--fK", "1").returncode == 1

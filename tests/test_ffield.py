@@ -7,10 +7,49 @@ import pytest
 
 from padicext.arith import divisors, euler_phi, factorize, power
 from padicext.errors import CapacityError, DomainError
-from padicext.ffield import (DLOG_CAP, FIELD_CEILING, FieldCtx, _ResidueRing,
-                             _is_irreducible, _poly_divmod, _poly_gcd,
-                             _poly_trim, make_field)
+from padicext.ffield import (DLOG_CAP, FIELD_CEILING, FieldCtx, _coprime,
+                             _ResidueRing, _is_irreducible, make_field)
 from padicext.linalg import LANE_HEADROOM, VecSpace
+
+
+# ---------------------------------------------------------------------------
+# dense polynomial helpers over F_p (little-endian coefficient lists): the
+# independent references behind mulmod, _rabin_is_irreducible and the gcd
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
+    a = list(a)
+    df = len(f) - 1
+    inv_lead = pow(f[-1], -1, p)
+    q = [0] * max(0, len(a) - df)
+    while len(a) - 1 >= df and _poly_trim(a):
+        da = len(a) - 1
+        if da < df:
+            break
+        c = a[-1] * inv_lead % p
+        q[da - df] = c
+        for i, fi in enumerate(f):
+            a[da - df + i] = (a[da - df + i] - c * fi) % p
+        _poly_trim(a)
+    return q, a
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = list(a), list(b)
+    _poly_trim(a)
+    _poly_trim(b)
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+        _poly_trim(b)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
 
 
 def field_add(ctx, x: int, y: int) -> int:
@@ -25,15 +64,20 @@ def field_neg(ctx, x: int) -> int:
     return space.encode(space.smul(-1, space.decode(x)))
 
 
-def mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """Reference residue product: schoolbook a*b, then division by f."""
+def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """Schoolbook product a*b."""
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod(prod, f, p)[1]
+    return prod
+
+
+def mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """Reference residue product: schoolbook a*b, then division by f."""
+    return _poly_divmod(poly_mul(a, b, p), f, p)[1]
 
 
 def pow_p(a: list[int], f: list[int], p: int) -> list[int]:
@@ -184,7 +228,38 @@ def test_dlog_refuses_exactly_the_orders_above_2_32():
 
 
 # ---------------------------------------------------------------------------
-# irreducibility: Ben-Or against the Rabin test and against sympy
+# irreducibility: the lane gcd against the list gcd, Ben-Or against the Rabin
+# test and against sympy
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_coprime_matches_the_list_gcd(p):
+    rng = random.Random(1000 + p)
+    space = VecSpace(p, 65)  # polynomials of degree <= 64
+
+    def poly(deg):  # a random polynomial of degree exactly deg
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    def coprime(a, b):
+        got = _coprime(space, space.from_coords(a), space.from_coords(b))
+        assert got == (len(_poly_gcd(a, b, p)) == 1), (a, b)
+        return got
+
+    for _ in range(40):
+        da, db = rng.randint(0, 64), rng.randint(0, 64)
+        a, b = poly(da), poly(db)
+        coprime(a, b)
+        g = poly(rng.randint(1, 16))  # a common factor
+        u, v = poly(rng.randint(0, 48)), poly(rng.randint(0, 48))
+        assert not coprime(poly_mul(g, u, p), poly_mul(g, v, p))
+        # edge cases: b constant, a == b, b | a, deg a < deg b, and b = 0
+        # (Ben-Or's t - x == 0)
+        assert coprime(a, [rng.randrange(1, p)])
+        assert coprime(a, a) == (da == 0)
+        assert not coprime(poly_mul(g, u, p), g)
+        coprime(poly(rng.randint(0, 40)), poly(rng.randint(41, 64)))
+        assert coprime(a, []) == (da == 0)
+    assert not coprime([], [])
+
 
 def _rabin_is_irreducible(f: list[int], p: int) -> bool:
     """Reference: Rabin's test, which runs all m Frobenius steps, then one
@@ -247,6 +322,15 @@ def test_ben_or_matches_sympy():
         for deg in range(2, 17):
             for _ in range(6):
                 cases.append((p, [rng.randrange(p) for _ in range(deg)] + [1]))
+    # p = 2 at degrees 100 to 128, past FIELD_CEILING: long lane vectors
+    for deg in range(100, 129, 4):
+        cases.append((2, [rng.randrange(2) for _ in range(deg)] + [1]))
+    f64 = list(make_field(2, 64).modulus)  # x^64+x^4+x^3+x+1
+    # x^127+x+1 and x^128+x^7+x^2+x+1 (both irreducible), and f64^2, which
+    # Ben-Or refuses only at its 64th step
+    cases += [(2, [1, 1] + [0] * 125 + [1]),
+              (2, [1, 1, 1, 0, 0, 0, 0, 1] + [0] * 120 + [1]),
+              (2, poly_mul(f64, f64, 2))]
     # reducible with no linear factor: squares and a product of irreducibles
     cases += [(3, [1, 0, 2, 0, 1]),           # (x^2+1)^2 over F_3
               (2, [1, 0, 1, 0, 1]),           # (x^2+x+1)^2 over F_2
