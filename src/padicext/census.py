@@ -2,8 +2,8 @@
 
 All counts are arbitrary-precision integers; every division is checked
 for exactness and an inexact one raises InvariantError rather than
-truncating.  The group-by-group breakdown keys match the catalog label
-grammar ("C(c)", "NA(c,split)", "NA(c,ns<j>)").
+truncating.  The group-by-group breakdown is keyed by GroupClass, the
+one group record shared with the catalog and the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (check_output_digits, divisors, is_prime, order_pair_count,
-                    order_pair_product, split_fraction)
+                    split_fraction)
 from .errors import DomainError, InvariantError
 
 CASE_DIVIDES = "ell_divides_fK"
@@ -54,18 +54,32 @@ class ExtensionParams:
         return CASE_DIVIDES if self.ell_divides_fk else CASE_NOT_DIVIDES
 
 
-@dataclass(frozen=True)
-class CensusEntry:
-    label: str
-    c: int
+@dataclass(frozen=True, kw_only=True)
+class GroupClass:
+    """A normal-closure group: C(c), or nonabelian of order c*ell, split or
+    in nonsplit class j.  The one home of the label grammar and of the
+    census order."""
+
+    label: str = field(init=False)  # derived; first, the repr order perfbench digests
     kind: str  # "cyclic" | "split" | "nonsplit"
-    class_index: int  # j for nonsplit entries, 0 otherwise
-    count: int
+    class_index: int  # j for nonsplit classes, 0 otherwise
+    c: int
+
+    def __post_init__(self) -> None:
+        label = (f"C({self.c})" if self.kind == "cyclic" else
+                 f"NA({self.c},split)" if self.kind == "split" else
+                 f"NA({self.c},ns{self.class_index})")
+        object.__setattr__(self, "label", label)
 
     def sort_key(self) -> tuple[int, int, int]:
         """Census order: by c, then cyclic, split and nonsplit by index."""
         return (self.c, ("cyclic", "split", "nonsplit").index(self.kind),
                 self.class_index)
+
+
+@dataclass(frozen=True)
+class CensusEntry(GroupClass):
+    count: int
 
 
 @dataclass(frozen=True)
@@ -83,14 +97,6 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if num % den != 0:
         raise InvariantError(f"non-exact division in {what}: {num}/{den}")
     return num // den
-
-
-def cyclic_label(c: int) -> str:
-    return f"C({c})"
-
-
-def nonabelian_label(c: int, split: bool, j: int = 0) -> str:
-    return f"NA({c},split)" if split else f"NA({c},ns{j})"
 
 
 def total_classes(params: ExtensionParams) -> int:
@@ -122,37 +128,27 @@ def _eligible_orders(params: ExtensionParams) -> list[int]:
     return [c for c in divisors(p ** ell - 1) if (p - 1) % c != 0]
 
 
-def census_by_group(params: ExtensionParams,
-                    use_product_form: bool = False) -> CensusReport:
-    """Counts per normal-closure group.
-
-    `use_product_form` swaps the authoritative pair count for the closed
-    product form; that audit mode exists only to exhibit the divergence
-    and generally breaks the cross-sum identity.
-    """
+def census_by_group(params: ExtensionParams) -> CensusReport:
+    """Counts per normal-closure group."""
     total = total_classes(params)  # first: it checks the census size
     p, ell, n = params.p, params.ell, params.n_k
-    pair_count = order_pair_product if use_product_form else order_pair_count
     entries: list[CensusEntry] = []
     if params.ell_divides_fk:
         geom = Fraction(p ** (ell * n) - 1, p ** ell - 1)
         for c in _eligible_orders(params):
-            cnt = Fraction(pair_count(c, p ** ell - 1)) * geom / ell
-            entries.append(_entry(cyclic_label(c), c, "cyclic", 0, cnt))
+            cnt = Fraction(order_pair_count(c, p ** ell - 1)) * geom / ell
+            entries.append(_entry("cyclic", c, 0, cnt))
     else:
         geom_cyc = Fraction(p ** (ell * n) - 1, p ** ell - 1)
         geom_na = Fraction(p ** (ell * n) - 1, p - 1)
         for c in _eligible_orders(params):
-            psi = pair_count(c, p - 1)
+            psi = order_pair_count(c, p - 1)
             lam = split_fraction(c, p, ell)
-            entries.append(_entry(cyclic_label(c), c, "cyclic", 0,
-                                  Fraction(psi) * geom_cyc / ell))
-            entries.append(_entry(nonabelian_label(c, True), c, "split", 0,
-                                  lam * psi * geom_na / ell))
+            entries.append(_entry("cyclic", c, 0, Fraction(psi) * geom_cyc / ell))
+            entries.append(_entry("split", c, 0, lam * psi * geom_na / ell))
             ns_each = (1 - lam) / (ell - 1) * psi * geom_na / ell
             for j in range(1, ell):
-                entries.append(_entry(nonabelian_label(c, False, j), c,
-                                      "nonsplit", j, ns_each))
+                entries.append(_entry("nonsplit", c, j, ns_each))
     entries = [e for e in entries if e.count != 0]
     entries.sort(key=CensusEntry.sort_key)
     ok = sum(e.count for e in entries) == total and all(e.count > 0 for e in entries)
@@ -160,42 +156,8 @@ def census_by_group(params: ExtensionParams,
                         by_group=tuple(entries), identity_ok=ok)
 
 
-def _entry(label: str, c: int, kind: str, j: int, count: Fraction) -> CensusEntry:
+def _entry(kind: str, c: int, j: int, count: Fraction) -> CensusEntry:
+    entry = CensusEntry(kind=kind, c=c, class_index=j, count=count.numerator)
     if count.denominator != 1:
-        raise InvariantError(f"non-integral census entry {label}: {count}")
-    return CensusEntry(label=label, c=c, kind=kind, class_index=j,
-                       count=count.numerator)
-
-
-@dataclass(frozen=True)
-class IdentityDiagnostic:
-    ok: bool
-    total: int
-    group_sum: int
-    entries: tuple[CensusEntry, ...]
-    psi_variants: tuple[tuple[int, int, int, int], ...] = field(default=())
-    # (c, b, count_form, product_form) for every pair-count the report used
-
-
-def census_identity_check(params: ExtensionParams,
-                          use_product_form: bool = False) -> IdentityDiagnostic:
-    """Cross-sum gate: sum of by-group counts must equal the total.
-
-    In audit mode (`use_product_form`) the product form is wired in; the
-    identity is then expected to fail off the a | b regime and the
-    diagnostic carries both pair-count variants per order c.
-    """
-    p, ell = params.p, params.ell
-    try:
-        report = census_by_group(params, use_product_form=use_product_form)
-        group_sum = sum(e.count for e in report.by_group)
-        entries = report.by_group
-        ok = report.identity_ok
-    except InvariantError:
-        group_sum, entries, ok = -1, (), False
-    b = p ** ell - 1 if params.ell_divides_fk else p - 1
-    variants = tuple((c, b, order_pair_count(c, b), order_pair_product(c, b))
-                     for c in _eligible_orders(params))
-    return IdentityDiagnostic(ok=ok, total=total_classes(params),
-                              group_sum=group_sum, entries=entries,
-                              psi_variants=variants)
+        raise InvariantError(f"non-integral census entry {entry.label}: {count}")
+    return entry

@@ -319,6 +319,14 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_USAGE
 
 
+def _fixture_int(value) -> int:
+    """A fixture number: a JSON integer, or a string int() parses (the
+    envelopes write integers as decimal strings).  No float, no bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _cmd_crosscheck(args) -> int:
     try:
         with open(args.fixture, "r", encoding="utf-8") as fh:
@@ -342,14 +350,13 @@ def _cmd_crosscheck(args) -> int:
     matched_any = False
     for idx, rec in enumerate(records):
         try:
-            rp = int(rec["p"]); rell = int(rec["ell"])
-            re_k = int(rec["e_K"]); rf_k = int(rec["f_K"])
-            expected_total = int(rec["expected_total"])
+            keys = ("p", "ell", "e_K", "f_K", "expected_total")
+            rp, rell, re_k, rf_k, expected_total = (_fixture_int(rec[k]) for k in keys)
             exp = None
             if "by_group" in rec:
                 if not isinstance(rec["by_group"], list):
                     raise TypeError("'by_group' is not a list")
-                exp = {g["label"]: int(g["count"]) for g in rec["by_group"]}
+                exp = {g["label"]: _fixture_int(g["count"]) for g in rec["by_group"]}
         except (KeyError, TypeError, ValueError) as exc:
             print(f"error: record {idx} malformed: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -20,8 +20,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import closure, multiplicative_order, power
-from .census import (ExtensionParams, census_by_group, cyclic_label,
-                     nonabelian_label)
+from .census import ExtensionParams, GroupClass, census_by_group
 from .errors import DomainError, InvariantError
 from .ffield import FieldCtx, make_field
 from .linalg import VecSpace
@@ -185,18 +184,8 @@ def split_class(ctx: FieldCtx, alpha: int, beta: int,
 # the catalog
 
 @dataclass(frozen=True)
-class GroupDescriptor:
-    kind: str  # "cyclic" | "split" | "nonsplit"
-    c: int
-    class_index: int
-    p: int
-    ell: int
-    label: str
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
-    descriptor: GroupDescriptor
+    descriptor: GroupClass
     alpha: int
     beta: int
     generators: tuple[MonomialMatrix, ...]
@@ -223,30 +212,24 @@ def catalog(params: ExtensionParams,
             pairs[c] = generator_matrices(ctx, ctx.root_of_unity(c), 1, ell)
         pair = pairs[c]
         alpha = pair.T.coeffs[0]
-        if centry.kind == "cyclic":
-            beta = 1
+        desc = GroupClass(kind=centry.kind, c=c, class_index=centry.class_index)
+        abelian = desc.kind == "cyclic"
+        beta = 1
+        if abelian:
             gens: tuple[MonomialMatrix, ...] = (pair.T,)
             expected = c
-            abelian = True
-            desc = GroupDescriptor("cyclic", c, 0, p, ell, cyclic_label(c))
         else:
-            if centry.kind == "split":
-                beta = 1
-            else:
-                beta = pow(coset_generator(c, p), centry.class_index, p)
+            if desc.kind == "nonsplit":
+                beta = pow(coset_generator(c, p), desc.class_index, p)
                 got = split_class(ctx, alpha, beta, params)
-                if got != ("nonsplit", centry.class_index):
+                if got != ("nonsplit", desc.class_index):
                     raise InvariantError(
-                        f"nonsplit representative for {centry.label} "
+                        f"nonsplit representative for {desc.label} "
                         f"classified as {got}")
             # the beta = 1 pair's V, with corner beta
             gens = (pair.T,
                     replace(pair.V, coeffs=pair.V.coeffs[:-1] + (beta,)))
             expected = c * ell
-            abelian = False
-            desc = GroupDescriptor(centry.kind, c, centry.class_index, p, ell,
-                                   nonabelian_label(c, centry.kind == "split",
-                                                    centry.class_index))
         order = None
         witness = None
         if expected <= closure_cap:

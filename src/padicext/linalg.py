@@ -72,7 +72,11 @@ class VecSpace:
         return (v >> (j * self.w)) & self._lane
 
     def from_coords(self, coords: Iterable[int]) -> int:
-        """The vector with the given coordinates, taken mod p."""
+        """The vector with the given coordinates, taken mod p; refuses more
+        than n of them, since no lane past n is ever reduced."""
+        coords = tuple(coords)
+        if len(coords) > self.n:
+            raise DomainError(f"{len(coords)} coordinates in F_{self.p}^{self.n}")
         p, w = self.p, self.w
         return sum((c % p) << (j * w) for j, c in enumerate(coords))
 

@@ -27,8 +27,8 @@ from functools import partial
 from .action import (AuxFieldData, constituents, default_aux_data,
                      level_indices, pair_classes)
 from .arith import closure, multiplicative_order, order, power
-from .census import (CensusEntry, CensusReport, ExtensionParams,
-                     census_by_group, cyclic_label, nonabelian_label)
+from .census import (CensusEntry, CensusReport, ExtensionParams, GroupClass,
+                     census_by_group)
 from .errors import CapacityError, DomainError, InvariantError
 from .ffield import FieldCtx, make_field
 from .groups import (CLOSURE_CAP, beta_is_power_residue, frobenius_rep,
@@ -246,15 +246,6 @@ def hom_basis(p: int, gens_x: list[list], gens_y: list[list],
 # ---------------------------------------------------------------------------
 # classification of a submodule by its matrix group
 
-@dataclass(frozen=True)
-class ClassifiedGroup:
-    kind: str          # "cyclic" | "split" | "nonsplit"
-    c: int
-    class_index: int
-    order: int
-    label: str
-
-
 def _mat_mul(space: VecSpace, A: tuple, B: tuple) -> tuple:
     return tuple(space.compose(A, B))
 
@@ -266,8 +257,8 @@ def matrix_group_elements(p: int, dim: int, gen_images: list[list]) -> set[tuple
                    CLOSURE_CAP)
 
 
-def classify_submodule(p: int, ell: int, gen_images: list[list]) -> ClassifiedGroup:
-    """Descriptor of the group generated by the action matrices on an
+def classify_submodule(p: int, ell: int, gen_images: list[list]) -> GroupClass:
+    """Class of the group generated by the action matrices on an
     ell-dimensional submodule (generators ordered: inertia part first).
 
     Cyclic image: C(order).  Nonabelian image of order c*ell: the split
@@ -289,19 +280,19 @@ def classify_submodule(p: int, ell: int, gen_images: list[list]) -> ClassifiedGr
         if not any(order(g, n, pow_, ident) == n for g in elements):
             raise InvariantError(
                 f"abelian image of order {n} is not cyclic; no descriptor fits")
-        return ClassifiedGroup("cyclic", n, 0, n, cyclic_label(n))
+        return GroupClass(kind="cyclic", c=n, class_index=0)
     if n % ell != 0:
         raise InvariantError(f"nonabelian image order {n} not divisible by {ell}")
     c = n // ell
     ell_torsion = sum(1 for g in elements if pow_(g, ell) == ident)
     if ell_torsion > ell:
-        return ClassifiedGroup("split", c, 0, n, nonabelian_label(c, True))
+        return GroupClass(kind="split", c=c, class_index=0)
     if ell_torsion != ell:
         raise InvariantError(
             f"nonabelian image has {ell_torsion} solutions of g^ell=1; "
             f"no descriptor fits")
-    j = _nonsplit_class_index(space, mul, elements, p, ell, c, ident)
-    return ClassifiedGroup("nonsplit", c, j, n, nonabelian_label(c, False, j))
+    return GroupClass(kind="nonsplit", c=c, class_index=_nonsplit_class_index(
+        space, mul, elements, p, ell, c, ident))
 
 
 def _nonsplit_class_index(space: VecSpace, mul, elements: set[tuple], p: int,
@@ -420,11 +411,7 @@ class LevelRealization:
 # oracle census assembly
 
 @dataclass(frozen=True)
-class OracleClassReport:
-    label: str
-    kind: str
-    class_index: int
-    c: int
+class OracleClassReport(GroupClass):
     d: int
     multiplicity: int
     count: int
@@ -464,7 +451,7 @@ class _PhysicalClass:
         self.mults: list[int] = []
         self.span_gens: list[list[list]] = []
         self.d = len(hom_basis(p, rep_gens, rep_gens, ell, ell))
-        self.desc: ClassifiedGroup | None = None
+        self.desc: GroupClass | None = None
 
 
 def _restricted_gens(space: VecSpace, rows: tuple, taus: list, vs: list,
@@ -547,6 +534,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
 
     # assemble per-class reports, classifying each representative once
     out_classes: list[OracleClassReport] = []
+    counts: dict[GroupClass, int] = {}
     for cls in classes:
         mult = sum(cls.mults)
         count = subspace_count_law(cls.d, mult, p)
@@ -555,11 +543,12 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
         verified = p ** block_dim <= BLOCK_CAP
         if verified:
             _verify_block(p, ell, cls, count, parallelism)
+        counts[desc] = counts.get(desc, 0) + count
         out_classes.append(OracleClassReport(
-            label=desc.label, kind=desc.kind, class_index=desc.class_index,
-            c=desc.c, d=cls.d, multiplicity=mult, count=count,
-            levels=tuple(cls.levels), mult_by_level=tuple(cls.mults),
-            block_dim=block_dim, verified_exhaustively=verified))
+            kind=desc.kind, c=desc.c, class_index=desc.class_index, d=cls.d,
+            multiplicity=mult, count=count, levels=tuple(cls.levels),
+            mult_by_level=tuple(cls.mults), block_dim=block_dim,
+            verified_exhaustively=verified))
 
     _check_against_bookkeeping(params, aux, classes)
 
@@ -568,17 +557,9 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
         level_results = _sweep_levels(params, aux, real, classes, level_cap,
                                       parallelism)
 
-    merged: dict[str, list[OracleClassReport]] = {}
-    for rep in out_classes:
-        merged.setdefault(rep.label, []).append(rep)
-    entries = []
-    for label, reps in merged.items():
-        first = reps[0]
-        entries.append(CensusEntry(
-            label=label, c=first.c, kind=first.kind,
-            class_index=first.class_index,
-            count=sum(r.count for r in reps)))
-    entries.sort(key=CensusEntry.sort_key)
+    entries = sorted((CensusEntry(kind=g.kind, c=g.c, class_index=g.class_index,
+                                  count=n) for g, n in counts.items()),
+                     key=CensusEntry.sort_key)
     total = sum(e.count for e in entries)
     report = CensusReport(total=total, case_tag=params.case_tag,
                           by_group=tuple(entries), identity_ok=True)
@@ -638,7 +619,7 @@ def _verify_block(p: int, ell: int, cls: _PhysicalClass, expected_count: int,
     sample = subs[0]
     sgens = _restricted_gens(bspace, sample, tau_images, v_images, p)
     got = classify_submodule(p, ell, sgens)
-    if (got.kind, got.c, got.class_index) != (desc.kind, desc.c, desc.class_index):
+    if got != desc:
         raise InvariantError(
             f"block member classifies as {got.label}, class says {desc.label}")
 

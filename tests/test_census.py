@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from padicext.census import (ExtensionParams, census_by_group,
-                             census_identity_check, degree_exponent,
+from padicext.census import (ExtensionParams, census_by_group, degree_exponent,
                              total_classes)
 from padicext.errors import DomainError
 
@@ -77,19 +76,6 @@ def test_cross_sum_identity_sample_grid():
                 for fk in (1, 2, 3, 4):
                     rep = census_by_group(ExtensionParams(p, ell, ek, fk))
                     assert rep.identity_ok, (p, ell, ek, fk)
-
-
-def test_identity_check_diagnostics():
-    ok = census_identity_check(ExtensionParams(3, 2, 1, 1))
-    assert ok.ok and ok.total == ok.group_sum == 30
-    bad = census_identity_check(ExtensionParams(3, 2, 1, 1),
-                                use_product_form=True)
-    assert not bad.ok
-    assert bad.total == 30 and bad.group_sum != 30
-    # the diagnostic carries both pair-count variants
-    variants = {c: (cnt, prod) for c, _, cnt, prod in bad.psi_variants}
-    assert variants[4] == (4, 6)
-    assert variants[8] == (8, 12)
 
 
 def test_p_equals_ell_is_gated():

@@ -135,7 +135,16 @@ def test_crosscheck_empty_filter_is_an_error(tmp_path):
                   "by_group": [{"count": 2}]}]},  # an entry without label
     {"records": [{"p": 2, "ell": 3, "e_K": 1, "f_K": 1, "expected_total": 16,
                   "by_group": 5}]},  # by_group not a list
-], ids=["top-level-list", "entry-without-label", "by-group-not-a-list"])
+    # int() would truncate 2.7 and 16.9 and 2.5, and read True as 1
+    {"records": [{"p": 2.7, "ell": 3, "e_K": 1, "f_K": 1, "expected_total": 16}]},
+    {"records": [{"p": 2, "ell": 3, "e_K": 1, "f_K": 1, "expected_total": 16.9}]},
+    {"records": [{"p": 2, "ell": 3, "e_K": 1, "f_K": 1, "expected_total": 16,
+                  "by_group": [{"label": "C(7)", "count": 2.5}]}]},
+    {"records": [{"p": 2, "ell": 3, "e_K": 1, "f_K": True, "expected_total": 16}]},
+    {"records": [{"p": 2, "ell": 3, "e_K": 1, "f_K": 1,
+                  "expected_total": "16.9"}]},
+], ids=["top-level-list", "entry-without-label", "by-group-not-a-list",
+        "float-p", "float-total", "float-count", "bool-fK", "fraction-string"])
 def test_crosscheck_malformed_fixture_is_a_usage_error(tmp_path, fixture):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(fixture))
@@ -144,6 +153,17 @@ def test_crosscheck_malformed_fixture_is_a_usage_error(tmp_path, fixture):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_crosscheck_accepts_decimal_strings(tmp_path):
+    # the envelopes write integers as decimal strings
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps({"records": [
+        {"p": "2", "ell": "3", "e_K": "1", "f_K": "1", "expected_total": "16",
+         "by_group": [{"label": "C(7)", "count": "2"},
+                      {"label": "NA(7,split)", "count": "14"}]}]}))
+    proc, doc = run_json("crosscheck", "--fixture", str(path))
+    assert proc.returncode == 0 and doc["result"]["all_match"] is True
 
 
 def test_usage_errors_exit_one():

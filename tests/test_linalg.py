@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from padicext.errors import CapacityError
+from padicext.errors import CapacityError, DomainError
 from padicext.linalg import LANE_HEADROOM, VecSpace, restrict_map
 
 
@@ -111,6 +111,14 @@ def test_coords_to_vec_codecs():
     assert [space.component(v, j) for j in range(3)] == [2, 0, 1]
     assert space.decode(2 + 1 * 9) == v
     assert space.from_coords((5, -1, 3)) == space.from_coords((2, 2, 0))
+
+
+def test_from_coords_refuses_coordinates_past_n():
+    # a lane past n is never reduced by add, smul or _lanes
+    for p in (2, 3):
+        with pytest.raises(DomainError):
+            VecSpace(p, 2).from_coords([1, 2, 1])
+    assert VecSpace(3, 2).from_coords([1]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from padicext.errors import CapacityError, DomainError, InvariantError
 from padicext.ffield import FIELD_CEILING, make_field
 from padicext.linalg import VecSpace
 from padicext.oracle import (LevelRealization, Module, classify_submodule,
-                             hom_basis,
+                             hom_basis, matrix_group_elements,
                              enumerate_irreducible_submodules, oracle_census,
                              spin, subspace_count_law)
 
@@ -347,15 +347,17 @@ def test_hom_basis_matches_brute_force_count(p, dim_x, dim_y):
 def test_classify_cyclic_and_nonabelian():
     ctx = make_field(2, 3)
     a7 = ctx.root_of_unity(7)
-    got = classify_submodule(2, 3, cyclic_prime_field_model(ctx, a7, 1))
-    assert got.label == "C(7)" and got.order == 7
-    got_na = classify_submodule(2, 3, nonabelian_prime_field_model(ctx, a7, 1))
-    assert got_na.label == "NA(7,split)" and got_na.order == 21
+    cyc = cyclic_prime_field_model(ctx, a7, 1)
+    assert classify_submodule(2, 3, cyc).label == "C(7)"
+    assert len(matrix_group_elements(2, 3, cyc)) == 7
+    na = nonabelian_prime_field_model(ctx, a7, 1)
+    assert classify_submodule(2, 3, na).label == "NA(7,split)"
+    assert len(matrix_group_elements(2, 3, na)) == 21
     ctx9 = make_field(3, 2)
     a4 = ctx9.root_of_unity(4)
-    got_ns = classify_submodule(3, 2, nonabelian_prime_field_model(
-        ctx9, a4, field_neg(ctx9, 1)))
-    assert got_ns.label == "NA(4,ns1)" and got_ns.order == 8
+    ns = nonabelian_prime_field_model(ctx9, a4, field_neg(ctx9, 1))
+    assert classify_submodule(3, 2, ns).label == "NA(4,ns1)"
+    assert len(matrix_group_elements(3, 2, ns)) == 8
 
 
 def test_oracle_census_q3_breakdown():
