@@ -10,12 +10,16 @@ the closed-form invariants they are meant to check), assembled into
 cross-level isotypic blocks, counted by the subspace law, and classified
 by matrix-group closure of the restricted action.
 
-An exhaustive scan of F_p^n spins one seed per line: the (p^n - 1)/(p - 1)
-vectors with leading coordinate 1.  "Seeds" below means these.  With
-parallelism N > 1, a scan of at least PARALLEL_MIN_SEEDS seeds runs in
-min(N, usable CPUs) worker processes; the result, and so every output
-byte, is the same for any N.  EXHAUSTIVE_CAP and BLOCK_CAP bound p^n, not
-the seeds.
+An exhaustive scan of F_p^n spins one seed per line: a vector with leading
+coordinate 1.  "Seeds" below means these.  A scan finds each subspace from
+its least nonzero vector, and an l-dimensional subspace has l distinct
+pivots, so that vector's pivot is at most n - l: the scan for dimension l
+spins only the (p^(n-l+1) - 1)/(p - 1) seeds with pivot at most n - l
+(scan_seed_count).  A seed is skipped unspun when a generator's image of
+it already gives a smaller vector of its spin.  With parallelism N > 1, a
+scan of at least PARALLEL_MIN_SEEDS seeds runs in min(N, usable CPUs)
+worker processes; the result, and so every output byte, is the same for
+any N.  EXHAUSTIVE_CAP and BLOCK_CAP bound p^n, not the seeds.
 """
 
 from __future__ import annotations
@@ -71,8 +75,10 @@ def spin(module: Module, seed, abort_dim: int | None = None,
     (sound for exhaustive scans, where the subspace is also reached from
     its least nonzero vector).  That vector has leading coordinate 1:
     scaling a vector with leading coefficient c != 1 by 1/c gives a smaller
-    one.  So a scan of only the seeds with leading coordinate 1 still
-    reaches every subspace.
+    one.  Its pivot is the least of the subspace's pivots, which are
+    distinct, so for a subspace of dimension l in F_p^n it is at most
+    n - l.  So a scan of only the seeds with leading coordinate 1 and pivot
+    at most n - l still reaches every l-dimensional subspace.
     """
     space = module.space
     if not seed:
@@ -101,45 +107,78 @@ def spin(module: Module, seed, abort_dim: int | None = None,
 def _scan_range(module: Module, target_dim: int, lo: int, hi: int):
     """Spin the seeds of index lo..hi-1, in key order: block k holds the
     p^k seeds unit(k) | decode(o), o < p^k, from index 1 + (p^k - 1)/(p - 1)
-    on (at p = 2, seed t is the vector of key t)."""
+    on (at p = 2, seed t is the vector of key t).
+
+    A seed whose image under some generator reduces, against the seed, to
+    a nonzero vector with pivot below k is skipped unspun: that vector of
+    spin(seed) is below the seed, which so is not the least vector of its
+    subspace."""
     space = module.space
     found: set = set()
     rejected: set = set()
     # within a block, seeds in base-p key order: add 1, carry each lane
     # that reached p; no carry reaches lane k (for p = 2, w = 1 and the int
     # addition carries by itself)
-    p, w = space.p, space.w
+    p, w, n = space.p, space.w, space.n
     lane, carry = (1 << w) - 1, (1 << w) - p
+    reduce = space.reduce
+    # every generator's image of the current seed, image g in lanes
+    # g*n..g*n+n-1 of one vector.  A step that carries through lanes
+    # 0..j-1 adds e_0 + ... + e_j to the seed (p - 1 + 1 = 0 in each carried
+    # lane), so step[the lowest set bit of the new seed, in lane j] holds
+    # the images of e_0 + ... + e_j
+    width = n * w
+    gens = module.generator_images
+    stack = VecSpace(p, n * len(gens))
+    step = {}
+    total = 0
+    for j in range(n):
+        total = stack.add(total, sum(images[j] << (g * width)
+                                     for g, images in enumerate(gens)))
+        step.update((1 << bit, total) for bit in range(j * w, (j + 1) * w))
     end = 1
-    for k in range(space.n):
+    for k in range(n):
         start, end = end, end + p ** k  # block k: indices [start, end)
         a, b = max(lo, start), min(hi, end)
         if a >= b:
             continue
-        # the first step lands on unit(k) | decode(a - start)
-        seed = (space.unit(k) | space.decode(a - start)) - 1
+        to_k = (1 << ((k + 1) * w)) - 1  # lanes 0..k
+        above = [(((1 << width) - 1 - to_k) << (g * width), g * width)
+                 for g in range(len(gens))]
+        # start one step back: the first step lands on
+        # unit(k) | decode(a - start), with its images
+        seed = space.unit(k) | space.decode(a - start)
+        images = stack.add(
+            sum(f(seed) << (g * width) for g, f in enumerate(module.apply)),
+            stack.smul(-1, step[seed & -seed]))
+        seed -= 1
         for _ in range(a, b):
             seed += 1
             j = 0
             while (seed >> j) & lane == p:
                 seed += carry << j
                 j += w
-            rows = spin(module, seed, abort_dim=target_dim, abort_below=seed)
-            if rows is None or len(rows) != target_dim:
-                continue
-            if rows in found or rows in rejected:
-                continue
-            ok = True
-            for line in space.span_lines(rows):
-                sub = spin(module, line, abort_dim=target_dim)
-                if sub is None or len(sub) != target_dim:
-                    ok = False
+            images = stack.add(images, step[seed & -seed])
+            for mask, shift in above:
+                if not images & mask and reduce(images >> shift & to_k, (seed,)):
                     break
-            if ok:
-                found.add(rows)
             else:
-                rejected.add(rows)
+                rows = spin(module, seed, abort_dim=target_dim,
+                            abort_below=seed)
+                if (rows is not None and len(rows) == target_dim
+                        and rows not in found and rows not in rejected):
+                    (found if _irreducible(module, rows, target_dim)
+                     else rejected).add(rows)
     return found, rejected
+
+
+def _irreducible(module: Module, rows: tuple, target_dim: int) -> bool:
+    """Whether every line of the span of rows spins to all of it."""
+    for line in module.space.span_lines(rows):
+        sub = spin(module, line, abort_dim=target_dim)
+        if sub is None or len(sub) != target_dim:
+            return False
+    return True
 
 
 def _scan_task(p: int, dim: int, generator_images: list[list],
@@ -167,19 +206,30 @@ def _scan_plan(seeds: int, parallelism: int) -> tuple[int, list]:
     return min(workers, len(ranges)), ranges
 
 
+def scan_seed_count(p: int, dim: int, target_dim: int) -> int:
+    """Seeds an exhaustive scan of F_p^dim for target_dim-dimensional
+    submodules spins: blocks k <= dim - target_dim, since a subspace's
+    least nonzero vector has pivot at most dim - target_dim."""
+    if not 1 <= target_dim <= dim:
+        return 0
+    return (p ** (dim - target_dim + 1) - 1) // (p - 1)
+
+
 def enumerate_irreducible_submodules(module: Module, target_dim: int,
                                      cap: int = EXHAUSTIVE_CAP,
                                      parallelism: int = 1) -> tuple:
     """All irreducible submodules of the exact target dimension, by
     exhaustive seed scan; deterministic and independent of parallelism
     (abort_below makes each subspace's verdict independent of how the
-    seeds are split)."""
+    seeds are split).  Only the scan_seed_count seeds with pivot at most
+    dim - target_dim are spun: each submodule's least nonzero vector is
+    one of them."""
     p = module.p
     if p ** module.dim > cap:
         raise CapacityError(
             f"exhaustive enumeration needs p^dim <= {cap}; restrict to one "
             f"level or one isotypic block instead")
-    seeds = (p ** module.dim - 1) // (p - 1)
+    seeds = scan_seed_count(p, module.dim, target_dim)
     workers = 1
     if parallelism > 1 and seeds >= PARALLEL_MIN_SEEDS:
         workers, ranges = _scan_plan(seeds, parallelism)

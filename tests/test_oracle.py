@@ -95,12 +95,13 @@ def test_enumerate_deterministic_under_parallelism():
     assert enumerate_irreducible_submodules(mod, 3, parallelism=7) == base
 
 
-@pytest.mark.parametrize("p,d,mult", [(2, 2, 7), (3, 3, 3)])
+@pytest.mark.parametrize("p,d,mult", [(2, 2, 7), (3, 2, 5)])
 def test_process_pool_scan_matches_serial(p, d, mult):
-    # 16383 and 9841 seeds (one per line): above the cut-off for worker
-    # processes
+    # 8191 and 9841 seeds (one per line, pivot at most dim - d): above the
+    # cut-off for worker processes
     mod = scalar_tower_module(p, d, mult)
-    assert (p ** mod.dim - 1) // (p - 1) >= oracle_module.PARALLEL_MIN_SEEDS
+    assert oracle_module.scan_seed_count(p, mod.dim, d) >= \
+        oracle_module.PARALLEL_MIN_SEEDS
     base = enumerate_irreducible_submodules(mod, d, parallelism=1)
     assert len(base) == subspace_count_law(d, mult, p)
     for n in (2, 3):
@@ -122,6 +123,30 @@ def test_scan_plan_caps_workers_at_usable_cpus(monkeypatch):
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         assert len(ranges) <= min(parallelism, cpus) * \
             oracle_module.SCAN_RANGES_PER_WORKER
+
+
+def test_scan_seed_count_stops_at_the_pivot_bound(monkeypatch):
+    # the seeds with leading coordinate 1 and pivot at most dim - target_dim
+    for p, dim in ((2, 6), (3, 4), (5, 3)):
+        space = VecSpace(p, dim)
+        lines = [v for v in map(space.decode, range(1, p ** dim))
+                 if space.component(v, space.pivot(v)) == 1]
+        for target_dim in range(1, dim + 2):
+            count = oracle_module.scan_seed_count(p, dim, target_dim)
+            assert count == sum(1 for v in lines
+                                if space.pivot(v) <= dim - target_dim)
+    assert oracle_module.scan_seed_count(2, 21, 3) == 2 ** 19 - 1
+    # enumeration hands the scan exactly the seeds 1..count
+    spans = []
+    real_scan = oracle_module._scan_range
+
+    def recording_scan(module, target_dim, lo, hi):
+        spans.append((lo, hi))
+        return real_scan(module, target_dim, lo, hi)
+
+    monkeypatch.setattr(oracle_module, "_scan_range", recording_scan)
+    enumerate_irreducible_submodules(scalar_tower_module(3, 2, 3), 2)
+    assert spans == [(1, oracle_module.scan_seed_count(3, 6, 2) + 1)]
 
 
 def test_errors_survive_a_pickle_round_trip():
@@ -204,8 +229,9 @@ def test_scan_steps_seeds_in_key_order(monkeypatch, p, dim, lo, hi):
 
 
 def full_scan_reference(module: Module, target_dim: int) -> tuple:
-    """The exhaustive scan before seeds were taken one per line: spin every
-    nonzero vector, and check irreducibility on every nonzero member."""
+    """The exhaustive scan before seeds were taken one per line and bounded
+    by pivot: spin every nonzero vector, and check irreducibility on every
+    nonzero member."""
     space, p = module.space, module.p
     found: set = set()
     rejected: set = set()
@@ -241,10 +267,10 @@ def _conjugated(mod: Module, rng) -> Module:
                          for g in mod.generator_images])
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_projective_scan_matches_the_full_scan(p):
     rng = random.Random(p)
-    max_dim = {3: 6, 5: 4, 7: 3}[p]  # p^dim at most 2401
+    max_dim = {2: 10, 3: 6, 5: 4, 7: 3}[p]  # p^dim at most 2401
     mods = [scalar_tower_module(p, d, mult)
             for d in range(1, max_dim + 1)
             for mult in range(1, max_dim // d + 1)]
