@@ -34,6 +34,10 @@ def _cases():
                                   "--format", "csv"]
     cases["groups_3_2_1_1_plain"] = ["groups", *_flags(3, 2, 1, 1),
                                      "--format", "plain"]
+    cases["audit_2_3_1_1_plain"] = ["audit", *_flags(2, 3, 1, 1),
+                                    "--format", "plain"]
+    cases["oracle_3_2_1_1_csv"] = ["oracle", *_flags(3, 2, 1, 1),
+                                   "--format", "csv"]
     cases["ramify_3_2_1_1_erel4_frel2"] = ["ramify", *_flags(3, 2, 1, 1),
                                           "--e-rel", "4", "--f-rel", "2"]
     cases["crosscheck_small_grid"] = ["crosscheck", "--fixture",
