@@ -74,7 +74,7 @@ def _census_block(report: CensusReport) -> dict:
     }
 
 
-def _emit(envelope: dict, fmt: str, csv_rows=None) -> None:
+def _emit(envelope: dict, fmt: str, csv_rows) -> None:
     if fmt == "json":
         print(json.dumps(_jsonable(envelope), sort_keys=True, indent=2))
     elif fmt == "csv":
@@ -131,47 +131,41 @@ def _csv_table(rows) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its envelope after "command", its csv table
+# (None to flatten the envelope) and its exit code; main writes the envelope
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     params = _params_from(args)
     report = census_by_group(params)
-    envelope = {
-        "command": "count",
-        "params": _params_block(params),
-        "result": _census_block(report),
-    }
-    _emit(envelope, args.format, _csv_table(
-        [(params, e.label, e.count) for e in report.by_group]
-        + [(params, "TOTAL", report.total)]))
-    return EXIT_OK if report.identity_ok else EXIT_DISAGREE
+    body = {"params": _params_block(params), "result": _census_block(report)}
+    rows = _csv_table([(params, e.label, e.count) for e in report.by_group]
+                      + [(params, "TOTAL", report.total)])
+    return body, rows, EXIT_OK if report.identity_ok else EXIT_DISAGREE
 
 
-def _cmd_groups(args) -> int:
+def _cmd_groups(args):
     params = _params_from(args)
     entries = catalog(params)
-    result = {"descriptors": []}
-    for e in entries:
-        result["descriptors"].append({
-            "label": e.descriptor.label,
-            "kind": e.descriptor.kind,
-            "c": e.descriptor.c,
-            "class_index": e.descriptor.class_index,
-            "alpha": e.alpha,
-            "beta": e.beta,
-            "matrix_order": e.matrix_order,
-            "expected_matrix_order": e.expected_matrix_order,
-            "full_order": e.full_order,
-            "abelian": e.abelian,
-        })
-    envelope = {"command": "groups", "params": _params_block(params),
-                "result": result}
-    _emit(envelope, args.format, _csv_table(
-        (params, e.descriptor.label, e.full_order) for e in entries))
-    return EXIT_OK
+    descriptors = [{
+        "label": e.descriptor.label,
+        "kind": e.descriptor.kind,
+        "c": e.descriptor.c,
+        "class_index": e.descriptor.class_index,
+        "alpha": e.alpha,
+        "beta": e.beta,
+        "matrix_order": e.matrix_order,
+        "expected_matrix_order": e.expected_matrix_order,
+        "full_order": e.full_order,
+        "abelian": e.abelian,
+    } for e in entries]
+    body = {"params": _params_block(params),
+            "result": {"descriptors": descriptors}}
+    rows = _csv_table((params, e.descriptor.label, e.full_order)
+                      for e in entries)
+    return body, rows, EXIT_OK
 
 
-def _cmd_module(args) -> int:
+def _cmd_module(args):
     params = _params_from(args)
     aux = _aux_from(args, params)
     prof = span_profile(params, aux)  # refuses past its cap before the levels
@@ -205,13 +199,11 @@ def _cmd_module(args) -> int:
                              "from the target-dimension search",
         },
     }
-    envelope = {"command": "module", "params": _params_block(params),
-                "finv": _finv_block(aux), "result": result}
-    _emit(envelope, args.format)
-    return EXIT_OK
+    return {"params": _params_block(params), "finv": _finv_block(aux),
+            "result": result}, None, EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     params = _params_from(args)
     aux = _aux_from(args, params)
     oc = oracle_census(params, aux, parallelism=args.seed_parallelism,
@@ -232,24 +224,21 @@ def _cmd_oracle(args) -> int:
             "by_label": [{"label": lb, "count": ct} for lb, ct in r.by_label],
         } for r in oc.level_exhaustive],
     }
-    envelope = {"command": "oracle", "params": _params_block(params),
-                "finv": _finv_block(aux), "result": result}
+    body = {"params": _params_block(params), "finv": _finv_block(aux),
+            "result": result}
     if not oc.matches_closed_form:
-        envelope["disagreements"] = ["oracle_vs_closed_form"]
-    _emit(envelope, args.format, _csv_table(
-        (params, e.label, e.count) for e in oc.report.by_group))
-    return EXIT_OK if oc.matches_closed_form else EXIT_DISAGREE
+        body["disagreements"] = ["oracle_vs_closed_form"]
+    rows = _csv_table((params, e.label, e.count) for e in oc.report.by_group)
+    return body, rows, EXIT_OK if oc.matches_closed_form else EXIT_DISAGREE
 
 
-def _cmd_ramify(args) -> int:
+def _cmd_ramify(args):
     params = _params_from(args)
     aux = _aux_from(args, params)
     result = {"at_params": _ramify_block(WildInputs.from_params(params, aux)),
               "synthetic_example": _ramify_block(SYNTHETIC_DISC_INPUTS)}
-    envelope = {"command": "ramify", "params": _params_block(params),
-                "finv": _finv_block(aux), "result": result}
-    _emit(envelope, args.format)
-    return EXIT_OK
+    return {"params": _params_block(params), "finv": _finv_block(aux),
+            "result": result}, None, EXIT_OK
 
 
 def _ramify_block(inputs: WildInputs) -> dict:
@@ -279,12 +268,11 @@ def _ramify_block(inputs: WildInputs) -> dict:
     return block
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args):
     params = _params_from(args)
     aux = _aux_from(args, params)
     report = audit(params, aux)
-    envelope = {
-        "command": "audit",
+    body = {
         "params": _params_block(params),
         "finv": _finv_block(aux),
         "result": {"summary": {it.name: it.verdict for it in report.items}},
@@ -292,16 +280,14 @@ def _cmd_audit(args) -> int:
                              "detail": it.detail} for it in report.items]},
         "disagreements": list(report.disagreements),
     }
-    _emit(envelope, args.format)
-    return EXIT_DISAGREE if report.disagreements else EXIT_OK
+    return body, None, EXIT_DISAGREE if report.disagreements else EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     params = _params_from(args)
     suites = selftest_mod.run_all(parallelism=args.seed_parallelism)
     ok = all(s.failures == 0 for s in suites)
-    envelope = {
-        "command": "selftest",
+    body = {
         "params": _params_block(params),
         "result": {
             "ok": ok,
@@ -310,13 +296,12 @@ def _cmd_selftest(args) -> int:
                        for s in suites],
         },
     }
-    _emit(envelope, args.format)
     total_checks = sum(s.checks for s in suites)
     total_failures = sum(s.failures for s in suites)
     print(f"selftest: {'PASS' if ok else 'FAIL'} "
           f"({total_checks} checks, {total_failures} failures)",
           file=sys.stderr)
-    return EXIT_OK if ok else EXIT_USAGE
+    return body, None, EXIT_OK if ok else EXIT_USAGE
 
 
 def _fixture_int(value) -> int:
@@ -327,27 +312,20 @@ def _fixture_int(value) -> int:
     return int(value)
 
 
-def _cmd_crosscheck(args) -> int:
+def _cmd_crosscheck(args):
     try:
         with open(args.fixture, "r", encoding="utf-8") as fh:
             fixture = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read fixture: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"cannot read fixture: {exc}") from exc
     except json.JSONDecodeError as exc:
-        print(f"error: fixture parse error at line {exc.lineno}, "
-              f"column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"fixture parse error at line {exc.lineno}, "
+                          f"column {exc.colno}: {exc.msg}") from exc
     records = fixture.get("records") if isinstance(fixture, dict) else None
     if not isinstance(records, list):
-        print("error: fixture must contain a 'records' array", file=sys.stderr)
-        return EXIT_USAGE
-    wanted = {k: getattr(args, k) for k in ("p", "ell", "eK", "fK")
-              if getattr(args, k) is not None}
+        raise DomainError("fixture must contain a 'records' array")
     verdicts = []
     csv_rows = []
-    all_match = True
-    matched_any = False
     for idx, rec in enumerate(records):
         try:
             keys = ("p", "ell", "e_K", "f_K", "expected_total")
@@ -358,12 +336,10 @@ def _cmd_crosscheck(args) -> int:
                     raise TypeError("'by_group' is not a list")
                 exp = {g["label"]: _fixture_int(g["count"]) for g in rec["by_group"]}
         except (KeyError, TypeError, ValueError) as exc:
-            print(f"error: record {idx} malformed: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if wanted.get("p") not in (None, rp) or wanted.get("ell") not in (None, rell) \
-                or wanted.get("eK") not in (None, re_k) or wanted.get("fK") not in (None, rf_k):
+            raise DomainError(f"record {idx} malformed: {exc}") from exc
+        if any(getattr(args, flag) not in (None, value) for flag, value
+               in zip(("p", "ell", "eK", "fK"), (rp, rell, re_k, rf_k))):
             continue
-        matched_any = True
         params = ExtensionParams(rp, rell, re_k, rf_k,
                                  allow_p_equals_ell=args.allow_p_eq_ell)
         report = census_by_group(params)
@@ -380,19 +356,16 @@ def _cmd_crosscheck(args) -> int:
                                        "match": group_ok}
             ok = ok and group_ok
         rec_verdict["match"] = ok
-        all_match = all_match and ok
         verdicts.append(rec_verdict)
         csv_rows.append((params, "match" if ok else "mismatch", report.total))
-    if not matched_any:
-        print("error: no records match the filter", file=sys.stderr)
-        return EXIT_USAGE
+    if not verdicts:
+        raise DomainError("no records match the filter")
+    all_match = all(v["match"] for v in verdicts)
     params_block = {"p": args.p or 0, "ell": args.ell or 0,
                     "e_K": args.eK or 0, "f_K": args.fK or 0}
-    envelope = {"command": "crosscheck",
-                "params": params_block,
-                "result": {"all_match": all_match, "records": verdicts}}
-    _emit(envelope, args.format, _csv_table(csv_rows))
-    return EXIT_OK if all_match else EXIT_USAGE
+    body = {"params": params_block,
+            "result": {"all_match": all_match, "records": verdicts}}
+    return body, _csv_table(csv_rows), EXIT_OK if all_match else EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +461,15 @@ def main(argv=None) -> int:
         if args.level_cap < 0:
             raise DomainError(f"--level-cap must be at least 0, got "
                               f"{args.level_cap}")
-        return args.handler(args)
+        body, csv_rows, code = args.handler(args)
     except (DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _emit({"command": args.command, **body}, args.format, csv_rows)
+    return code
 
 
 if __name__ == "__main__":

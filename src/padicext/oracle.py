@@ -442,8 +442,9 @@ class LevelRealization:
                                  f"polynomial of degree {len(orbit)} over F_{p}")
         return [space.component(ker[0], k) for k in range(len(orbit) + 1)]
 
-    def beta_kernel(self, i: int, s: int, m: int, orbit: tuple[int, ...]) -> tuple:
-        """Canonical basis of ker m_B(v^s) inside level i (as ambient rows)."""
+    def beta_kernel(self, s: int, m: int, orbit: tuple[int, ...]) -> tuple:
+        """Canonical basis of ker m_B(v^s), as ambient rows; every level
+        reads the same kernel."""
         space = self.space
         vk = ident = [space.unit(j) for j in range(self.dim)]
         vs = power(self._v, s, space.compose, ident)
@@ -540,7 +541,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
         vs = real.v_images()
         for cons in targets:
             orbit, kdim = cons.beta_orbit, cons.level_dim_contribution
-            kernel_rows = real.beta_kernel(i, cons.s, cons.beta_modulus, orbit)
+            kernel_rows = real.beta_kernel(cons.s, cons.beta_modulus, orbit)
             if len(kernel_rows) != kdim:
                 raise InvariantError(f"kernel dimension {len(kernel_rows)} != "
                                      f"{kdim} at level {i}, beta orbit {orbit}")

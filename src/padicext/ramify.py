@@ -50,42 +50,10 @@ class WildInputs:
 
 
 @dataclass(frozen=True)
-class UpperDim:
-    raw: int
-    clamped: int
-    negative: bool
-
-
-def upper_dim(v, d: int, e_f: int, f_f: int, p: int) -> UpperDim:
-    """Piecewise upper-numbering dimension: d on [-1, 1], then
-    d - (jumps up to v) * f_F inside the window, 0 beyond.
-
-    Evaluation is right-continuous: a jump at an integer v is already
-    reflected at v, so the middle branch subtracts
-    (floor(v) - floor(v/p)) * f_F.  Negative raw values are reported with
-    a clamped companion rather than repaired.
-    """
-    v = Fraction(v)
-    if v < -1:
-        raise DomainError("upper numbering starts at -1")
-    if v <= 1:
-        return UpperDim(raw=d, clamped=max(d, 0), negative=d < 0)
-    end = Fraction(p * e_f, p - 1) - 1
-    if v > end:
-        return UpperDim(raw=0, clamped=0, negative=False)
-    drops = (v.numerator // v.denominator) - (v / p).numerator // (v / p).denominator
-    raw = d - drops * f_f
-    return UpperDim(raw=raw, clamped=max(raw, 0), negative=raw < 0)
-
-
-@dataclass(frozen=True)
 class RamificationProfile:
     p: int
     d: int
-    e_f: int
-    f_f: int
     e_rel: int
-    f_rel: int
     t: tuple[int, ...]                  # t(-1), t(0), ..., t(e_F - 1)
     jumps: tuple[int, ...]               # -1, 0, t(0), ..., t(e_F - 1)
     segments: tuple[tuple[int, int, int], ...]  # (lo, hi], wild exponent
@@ -127,9 +95,8 @@ def jump_schedule(inputs: WildInputs) -> RamificationProfile:
         segments.append((t[k], t[k + 1], d - k * f_f))
     jumps = (-1, 0) + tuple(t[1:])
     return RamificationProfile(
-        p=p, d=d, e_f=e_f, f_f=f_f, e_rel=inputs.e_rel, f_rel=inputs.f_rel,
-        t=tuple(t), jumps=jumps, segments=tuple(segments),
-        flagged=flagged)
+        p=p, d=d, e_rel=inputs.e_rel, t=tuple(t), jumps=jumps,
+        segments=tuple(segments), flagged=flagged)
 
 
 def different_valuation(profile: RamificationProfile) -> int:
@@ -245,17 +212,16 @@ def discriminant_report(inputs: WildInputs) -> DiscriminantReport:
     carries the jump schedule it built."""
     closed, exact = disc_exponent_closed(inputs)
     profile = jump_schedule(inputs)
+    dv = direct = agree = flagged = None
     if profile.flagged:
-        return DiscriminantReport(alpha_closed=closed, closed_exact=exact,
-                                  different_valuation=None, alpha_direct=None,
-                                  agree=None, flagged="wild exponent underflow",
-                                  profile=profile)
-    dv = different_valuation(profile)
-    direct = inputs.f_rel * dv
-    agree = exact and closed == direct
+        flagged = "wild exponent underflow"
+    else:
+        dv = different_valuation(profile)
+        direct = inputs.f_rel * dv
+        agree = exact and closed == direct
     return DiscriminantReport(alpha_closed=closed, closed_exact=exact,
                               different_valuation=dv, alpha_direct=direct,
-                              agree=agree, flagged=None, profile=profile)
+                              agree=agree, flagged=flagged, profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +308,11 @@ def audit(params: ExtensionParams, aux: AuxFieldData) -> AuditReport:
     except CapacityError as exc:
         detail["at_params"] = {"skipped": str(exc)}
         own_verdict = "skipped"
-    synth = discriminant_report(SYNTHETIC_DISC_INPUTS)
-    detail["synthetic"] = _disc_detail(synth)
-    detail["synthetic"]["inputs"] = {
-        "p": 3, "d": 2, "e_F": 2, "f_F": 1, "degree_over_base": 2}
+    syn = SYNTHETIC_DISC_INPUTS
+    synth = discriminant_report(syn)
+    detail["synthetic"] = {**_disc_detail(synth), "inputs": {
+        "p": syn.p, "d": syn.d, "e_F": syn.e_f, "f_F": syn.f_f,
+        "degree_over_base": syn.degree_over_base}}
     verdict = "disagree" if (own_verdict == "disagree" or not synth.agree) \
         else own_verdict
     items.append(AuditItem("discriminant_two_routes", verdict, detail))

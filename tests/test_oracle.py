@@ -556,11 +556,10 @@ def test_frobenius_matrix_matches_field_side_reference(point):
         assert real.tau_images(i) == _reference_tau_images(real, i)
     args = _beta_kernel_args(real)
     assert args
-    i = level_indices(real.aux)[0]
     for s, m, orbit in args:
         # the oracle's s, and powers of v it does not ask for
         for s_any in {s, 1, 3}:
-            assert (real.beta_kernel(i, s_any, m, orbit)
+            assert (real.beta_kernel(s_any, m, orbit)
                     == _reference_beta_kernel(real, s_any, m, orbit)), (s_any, m)
 
 

@@ -9,7 +9,7 @@ from padicext.census import ExtensionParams
 from padicext.errors import DomainError
 from padicext.ramify import (WildInputs, audit, different_valuation,
                              disc_exponent_closed, discriminant_report,
-                             herbrand_convert, jump_schedule, upper_dim)
+                             herbrand_convert, jump_schedule)
 
 SYN = WildInputs(p=3, d=2, e_f=2, f_f=1, e_rel=2, f_rel=1)
 
@@ -34,32 +34,6 @@ PROFILE_GRID = [
     WildInputs(p=5, d=9, e_f=3, f_f=2, e_rel=3, f_rel=2),
     WildInputs(p=7, d=6, e_f=2, f_f=2, e_rel=2, f_rel=3),
 ]
-
-
-def test_upper_dim_branches():
-    assert upper_dim(Fraction(1, 2), 24, 7, 21, 2).raw == 24
-    assert upper_dim(-1, 24, 7, 21, 2).raw == 24
-    assert upper_dim(1, 24, 7, 21, 2).raw == 24
-    assert upper_dim(Fraction(3, 2), 36, 8, 8, 3).raw == 28
-    u = upper_dim(3, 24, 7, 21, 2)
-    assert (u.raw, u.clamped, u.negative) == (-18, 0, True)
-    assert upper_dim(Fraction(27, 2), 24, 7, 21, 2).raw == 0  # beyond 13
-    with pytest.raises(DomainError):
-        upper_dim(-2, 24, 7, 21, 2)
-
-
-def test_upper_dim_monotone_nonincreasing():
-    for inputs in PROFILE_GRID:
-        prev = None
-        v = Fraction(-1)
-        window_end = Fraction(inputs.p * inputs.e_f, inputs.p - 1) - 1
-        while v <= window_end + 2:
-            val = upper_dim(v, inputs.d, inputs.e_f, inputs.f_f, inputs.p).raw
-            clamped = max(val, 0)
-            if prev is not None:
-                assert clamped <= prev
-            prev = clamped
-            v += Fraction(1, 3)
 
 
 def test_jump_schedule_synthetic():
