@@ -316,7 +316,7 @@ def _cmd_crosscheck(args):
     try:
         with open(args.fixture, "r", encoding="utf-8") as fh:
             fixture = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read fixture: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"fixture parse error at line {exc.lineno}, "

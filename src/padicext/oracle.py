@@ -8,7 +8,9 @@ inertia-degree Frobenius; the resulting small kernels are enumerated
 exhaustively, iso-grouped by explicit equivariant-map solving (never by
 the closed-form invariants they are meant to check), assembled into
 cross-level isotypic blocks, counted by the subspace law, and classified
-by matrix-group closure of the restricted action.
+by matrix-group closure of the restricted action.  hom_basis is tried
+only between modules with the same trace key (the traces of g^k, k <= ell,
+for g = tau, v, tau v), which isomorphic modules always share.
 
 An exhaustive scan of F_p^n spins one seed per line: a vector with leading
 coordinate 1.  "Seeds" below means these.  A scan finds each subspace from
@@ -408,6 +410,7 @@ class LevelRealization:
         # v = x -> x^(p^f_K) on the coordinate basis x^j, built once
         self._v = frobenius_rep(self.kappa, aux.f_k)
         self._tau: dict[int, list] = {}
+        self._beta: dict[tuple, tuple] = {}
 
     def tau_images(self, i: int) -> list:
         """Images of multiplication by zeta^i on the basis (a fresh list)."""
@@ -444,18 +447,20 @@ class LevelRealization:
 
     def beta_kernel(self, s: int, m: int, orbit: tuple[int, ...]) -> tuple:
         """Canonical basis of ker m_B(v^s), as ambient rows; every level
-        reads the same kernel."""
-        space = self.space
-        vk = ident = [space.unit(j) for j in range(self.dim)]
-        vs = power(self._v, s, space.compose, ident)
-        images = [0] * self.dim  # m_B(v^s), vk running through (v^s)^k
-        for k, ck in enumerate(self.beta_min_poly(m, orbit)):
-            if k:
-                vk = space.compose(vs, vk)
-            if ck:
-                images = [space.add(a, space.smul(ck, b))
-                          for a, b in zip(images, vk)]
-        return space.kernel(images)
+        reads the same kernel, built once."""
+        if (s, m, orbit) not in self._beta:
+            space = self.space
+            vk = ident = [space.unit(j) for j in range(self.dim)]
+            vs = power(self._v, s, space.compose, ident)
+            images = [0] * self.dim  # m_B(v^s), vk running through (v^s)^k
+            for k, ck in enumerate(self.beta_min_poly(m, orbit)):
+                if k:
+                    vk = space.compose(vs, vk)
+                if ck:
+                    images = [space.add(a, space.smul(ck, b))
+                              for a, b in zip(images, vk)]
+            self._beta[s, m, orbit] = space.kernel(images)
+        return self._beta[s, m, orbit]
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +510,20 @@ class _PhysicalClass:
         self.desc: GroupClass | None = None
 
 
+def trace_key(p: int, ell: int, gens: list[list]) -> tuple:
+    """Traces of g^k, k = 1..ell, for g = tau, v, tau v on an
+    ell-dimensional module: isomorphic modules have simultaneously
+    conjugate generators, so they share this key."""
+    space = VecSpace(p, ell)
+    key = []
+    for g in (*gens, space.compose(*gens)):
+        gk = g
+        for _ in range(ell):
+            key.append(sum(space.component(gk[j], j) for j in range(ell)) % p)
+            gk = space.compose(g, gk)
+    return tuple(key)
+
+
 def _restricted_gens(space: VecSpace, rows: tuple, taus: list, vs: list,
                      p: int) -> list[list]:
     sub = VecSpace(p, len(rows))
@@ -533,6 +552,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
     space = real.space
 
     classes: list[_PhysicalClass] = []
+    buckets: dict[tuple, list[_PhysicalClass]] = {}  # by trace_key
     for i in level_indices(aux):
         targets = [c for c in constituents(i, aux) if c.dim_over_fp == ell]
         if not targets:
@@ -553,26 +573,29 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
             if not subs:
                 raise InvariantError(
                     f"no irreducible dim-{ell} submodules in kernel at level {i}")
-            # group by isomorphism
-            groups: list[tuple[list[list], list[tuple]]] = []
+            # group by isomorphism, in order of each group's first member
+            groups: list[tuple[tuple, list[list], list[tuple]]] = []
             for rows in subs:
                 sgens = _restricted_gens(sub, rows, kgens[0], kgens[1], p)
-                for rep_gens, members in groups:
-                    if hom_basis(p, sgens, rep_gens, ell, ell):
+                key = trace_key(p, ell, sgens)
+                for gkey, rep_gens, members in groups:
+                    if gkey == key and hom_basis(p, sgens, rep_gens, ell, ell):
                         members.append(rows)
                         break
                 else:
-                    groups.append((sgens, [rows]))
-            for rep_gens, members in groups:
+                    groups.append((key, sgens, [rows]))
+            for key, rep_gens, members in groups:
                 span_rows = sub.canon([r for rows in members for r in rows])
                 if len(span_rows) % ell != 0:
                     raise InvariantError("isotypic span dimension not divisible")
                 mult_here = len(span_rows) // ell
-                target_cls = next((cls for cls in classes if hom_basis(
+                bucket = buckets.setdefault(key, [])
+                target_cls = next((cls for cls in bucket if hom_basis(
                     p, rep_gens, cls.rep_gens, ell, ell)), None)
                 if target_cls is None:
                     target_cls = _PhysicalClass(p, rep_gens, ell)
                     classes.append(target_cls)
+                    bucket.append(target_cls)
                 law = subspace_count_law(target_cls.d, mult_here, p)
                 if len(members) != law:
                     raise InvariantError(

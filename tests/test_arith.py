@@ -103,6 +103,23 @@ def test_is_prime_and_factorize_match_sympy():
         assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
 
 
+def test_element_orders_match_sympy():
+    n_order = pytest.importorskip("sympy").ntheory.n_order
+    rng = random.Random(17)
+    for k in (4, 12, 24, 40):  # 150 coprime pairs with n < 2^k
+        pairs = 0
+        while pairs < 150:
+            n = rng.randrange(2, 1 << k)
+            a = rng.randrange(1, n)
+            if gcd(a, n) == 1:
+                assert multiplicative_order(a, n) == n_order(a, n), (a, n)
+                pairs += 1
+    for p in (2, 3, 5, 7, 11, 13, 101, 257, 65537):
+        ctx = make_field(p, 1)
+        for x in (range(1, p) if p < 300 else rng.sample(range(1, p), 200)):
+            assert ctx.element_order(x) == n_order(x, p), (p, x)
+
+
 def test_order_pair_count_examples():
     assert order_pair_count(1, 5) == 1
     assert order_pair_count(4, 2) == 4

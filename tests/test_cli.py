@@ -155,6 +155,17 @@ def test_crosscheck_malformed_fixture_is_a_usage_error(tmp_path, fixture):
     assert "Traceback" not in proc.stderr
 
 
+def test_crosscheck_fixture_not_utf8_is_a_usage_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")  # a UTF-16 byte order mark
+    proc = run_cli("crosscheck", "--fixture", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot read fixture: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_crosscheck_accepts_decimal_strings(tmp_path):
     # the envelopes write integers as decimal strings
     path = tmp_path / "strings.json"

@@ -3,13 +3,14 @@
 import pickle
 import random
 from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
 from padicext import oracle as oracle_module
 from padicext.action import (constituents, default_aux_data, level_indices,
                              make_aux_data)
-from padicext.arith import multiplicative_order
+from padicext.arith import multiplicative_order, power
 from padicext.census import ExtensionParams
 from padicext.errors import CapacityError, DomainError, InvariantError
 from padicext.ffield import FIELD_CEILING, make_field
@@ -17,7 +18,7 @@ from padicext.linalg import VecSpace
 from padicext.oracle import (LevelRealization, Module, classify_submodule,
                              hom_basis, matrix_group_elements,
                              enumerate_irreducible_submodules, oracle_census,
-                             spin, subspace_count_law)
+                             spin, subspace_count_law, trace_key)
 
 from test_ffield import field_add, field_neg
 from test_groups import cyclic_prime_field_model, nonabelian_prime_field_model
@@ -461,6 +462,91 @@ def test_oracle_disagreement_under_override_is_data():
     assert not oc.matches_closed_form
     assert oc.report.total == 14
     assert {e.label: e.count for e in oc.report.by_group} == {"NA(7,split)": 14}
+
+
+# ---------------------------------------------------------------------------
+# iso-grouping by trace key: sound, and it bounds the hom_basis work
+
+def _class_representatives(monkeypatch, point):
+    """Each class's representative (tau, v) images, as oracle_census keeps
+    them."""
+    reps = []
+
+    class Recording(oracle_module._PhysicalClass):
+        def __init__(self, p, rep_gens, ell):
+            super().__init__(p, rep_gens, ell)
+            reps.append(rep_gens)
+
+    monkeypatch.setattr(oracle_module, "_PhysicalClass", Recording)
+    oracle_census(ExtensionParams(*point))
+    return reps
+
+
+def _random_conjugator(space, rng):
+    """A random invertible matrix P and P^-1 = P^(|GL_n(F_p)| - 1), as
+    basis images."""
+    p, n = space.p, space.n
+    ident = [space.unit(j) for j in range(n)]
+    while True:
+        P = [space.from_coords(rng.randrange(p) for _ in range(n))
+             for _ in range(n)]
+        if len(space.canon(P)) == n:
+            break
+    gl_order = 1
+    for i in range(n):
+        gl_order *= p ** n - p ** i
+    P_inv = power(P, gl_order - 1, space.compose, ident)
+    assert space.compose(P, P_inv) == ident
+    return P, P_inv
+
+
+@pytest.mark.parametrize("point", [(5, 2, 1, 1), (2, 3, 1, 3)])
+def test_trace_key_is_a_conjugacy_invariant(monkeypatch, point):
+    p, ell = point[0], point[1]
+    space = VecSpace(p, ell)
+    rng = random.Random(sum(point))
+    reps = _class_representatives(monkeypatch, point)
+    assert len(reps) > 10
+    for gens in reps:
+        key = trace_key(p, ell, gens)
+        for _ in range(5):
+            P, P_inv = _random_conjugator(space, rng)
+            conj = [space.compose(P, space.compose(g, P_inv)) for g in gens]
+            assert trace_key(p, ell, conj) == key
+            assert hom_basis(p, conj, gens, ell, ell)
+
+
+def test_census_hom_basis_and_min_poly_work_is_bounded(monkeypatch):
+    hom_calls = 0
+    min_polys = Counter()
+    hom_basis_orig = oracle_module.hom_basis
+    min_poly_orig = LevelRealization.beta_min_poly
+
+    def counting_hom_basis(*args):
+        nonlocal hom_calls
+        hom_calls += 1
+        return hom_basis_orig(*args)
+
+    def counting_min_poly(self, m, orbit):
+        min_polys[m, orbit] += 1
+        return min_poly_orig(self, m, orbit)
+
+    monkeypatch.setattr(oracle_module, "hom_basis", counting_hom_basis)
+    monkeypatch.setattr(LevelRealization, "beta_min_poly", counting_min_poly)
+    oc = oracle_census(ExtensionParams(5, 2, 1, 1))
+    # With no trace-key collision each kernel submodule costs one hom_basis
+    # call: joining its level group's first member, or that member joining
+    # its class, or (for a class's first member) the End(X) of the class.
+    # A linear lookup over groups and classes made 4,460 here.
+    submodules = sum(subspace_count_law(c.d, m, 5)
+                     for c in oc.classes for m in c.mult_by_level)
+    assert hom_calls <= submodules <= 300
+    aux = oc.aux
+    wanted = {(cons.beta_modulus, cons.beta_orbit)
+              for i in level_indices(aux) for cons in constituents(i, aux)
+              if cons.dim_over_fp == 2}
+    assert set(min_polys) == wanted
+    assert set(min_polys.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
