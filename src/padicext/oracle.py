@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 from .action import (AuxFieldData, constituents, default_aux_data,
                      level_indices, pair_classes)
@@ -515,13 +516,9 @@ def trace_key(p: int, ell: int, gens: list[list]) -> tuple:
     ell-dimensional module: isomorphic modules have simultaneously
     conjugate generators, so they share this key."""
     space = VecSpace(p, ell)
-    key = []
-    for g in (*gens, space.compose(*gens)):
-        gk = g
-        for _ in range(ell):
-            key.append(sum(space.component(gk[j], j) for j in range(ell)) % p)
-            gk = space.compose(g, gk)
-    return tuple(key)
+    return tuple(sum(space.component(gk[j], j) for j in range(ell)) % p
+                 for g in (*gens, space.compose(*gens))
+                 for gk in accumulate([g] * ell, space.compose))
 
 
 def _restricted_gens(space: VecSpace, rows: tuple, taus: list, vs: list,
