@@ -242,8 +242,6 @@ def catalog(params: ExtensionParams,
                 witness = _noncommuting_pair(gens, ctx)
                 if witness is None:
                     raise InvariantError(f"{desc.label} closed abelian")
-            elif _noncommuting_pair(gens, ctx) is not None:
-                raise InvariantError(f"{desc.label} is not abelian")
         entries.append(CatalogEntry(
             descriptor=desc, alpha=alpha, beta=beta, generators=gens,
             matrix_order=order, expected_matrix_order=expected,

@@ -8,20 +8,23 @@ inertia-degree Frobenius; the resulting small kernels are enumerated
 exhaustively, iso-grouped by explicit equivariant-map solving (never by
 the closed-form invariants they are meant to check), assembled into
 cross-level isotypic blocks, counted by the subspace law, and classified
-by matrix-group closure of the restricted action.  hom_basis is tried
-only between modules with the same trace key (the traces of g^k, k <= ell,
-for g = tau, v, tau v), which isomorphic modules always share.
+by matrix-group closure of the restricted action.  A submodule joins the
+first class, of any level, that has its trace key (the traces of g^k,
+k <= ell, for g = tau, v, tau v, which isomorphic modules share) and a
+representative with a nonzero hom_basis to it; else it starts a class.
 
 An exhaustive scan of F_p^n spins one seed per line: a vector with leading
 coordinate 1.  "Seeds" below means these.  A scan finds each subspace from
-its least nonzero vector, and an l-dimensional subspace has l distinct
-pivots, so that vector's pivot is at most n - l: the scan for dimension l
-spins only the (p^(n-l+1) - 1)/(p - 1) seeds with pivot at most n - l
-(scan_seed_count).  A seed is skipped unspun when a generator's image of
-it already gives a smaller vector of its spin.  With parallelism N > 1, a
-scan of at least PARALLEL_MIN_SEEDS seeds runs in min(N, usable CPUs)
-worker processes; the result, and so every output byte, is the same for
-any N.  EXHAUSTIVE_CAP and BLOCK_CAP bound p^n, not the seeds.
+its least nonzero vector alone, however the seeds are split: any other
+seed's spin meets a vector below the seed and aborts.  An l-dimensional
+subspace has l distinct pivots, so that vector's pivot is at most n - l:
+the scan for dimension l spins only the (p^(n-l+1) - 1)/(p - 1) seeds with
+pivot at most n - l (scan_seed_count).  A seed is skipped unspun when a
+generator's image of it already gives a smaller vector of its spin.  With
+parallelism N > 1, a scan of at least PARALLEL_MIN_SEEDS seeds runs in
+min(N, usable CPUs) worker processes; the result, and so every output
+byte, is the same for any N.  EXHAUSTIVE_CAP and BLOCK_CAP bound p^n, not
+the seeds.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ def spin(module: Module, seed, abort_dim: int | None = None,
     `abort_dim`: give up once the dimension would exceed it (sound when
     hunting submodules of that exact dimension).  `abort_below`: give up
     when a produced vector is smaller than this one, usually the seed
-    (sound for exhaustive scans, where the subspace is also reached from
-    its least nonzero vector).  That vector has leading coordinate 1:
+    (sound for exhaustive scans: the subspace is reached from its least
+    nonzero vector, and only from it).  That vector has leading coordinate 1:
     scaling a vector with leading coefficient c != 1 by 1/c gives a smaller
     one.  Its pivot is the least of the subspace's pivots, which are
     distinct, so for a subspace of dimension l in F_p^n it is at most
@@ -115,10 +118,9 @@ def _scan_range(module: Module, target_dim: int, lo: int, hi: int):
     A seed whose image under some generator reduces, against the seed, to
     a nonzero vector with pivot below k is skipped unspun: that vector of
     spin(seed) is below the seed, which so is not the least vector of its
-    subspace."""
+    subspace.  abort_below leaves each subspace one seed: its least vector."""
     space = module.space
     found: set = set()
-    rejected: set = set()
     # within a block, seeds in base-p key order: add 1, carry each lane
     # that reached p; no carry reaches lane k (for p = 2, w = 1 and the int
     # addition carries by itself)
@@ -169,10 +171,9 @@ def _scan_range(module: Module, target_dim: int, lo: int, hi: int):
                 rows = spin(module, seed, abort_dim=target_dim,
                             abort_below=seed)
                 if (rows is not None and len(rows) == target_dim
-                        and rows not in found and rows not in rejected):
-                    (found if _irreducible(module, rows, target_dim)
-                     else rejected).add(rows)
-    return found, rejected
+                        and _irreducible(module, rows, target_dim)):
+                    found.add(rows)
+    return found
 
 
 def _irreducible(module: Module, rows: tuple, target_dim: int) -> bool:
@@ -188,8 +189,7 @@ def _scan_task(p: int, dim: int, generator_images: list[list],
                target_dim: int, lo: int, hi: int) -> set:
     """One worker's seed range.  A Module holds closures, which do not
     pickle, so the worker rebuilds it from its generator images."""
-    found, _ = _scan_range(Module(p, dim, generator_images), target_dim, lo, hi)
-    return found
+    return _scan_range(Module(p, dim, generator_images), target_dim, lo, hi)
 
 
 def _usable_cpus() -> int:
@@ -237,7 +237,7 @@ def enumerate_irreducible_submodules(module: Module, target_dim: int,
     if parallelism > 1 and seeds >= PARALLEL_MIN_SEEDS:
         workers, ranges = _scan_plan(seeds, parallelism)
     if workers == 1:
-        found, _ = _scan_range(module, target_dim, 1, seeds + 1)
+        found = _scan_range(module, target_dim, 1, seeds + 1)
     else:
         # imported here: serial callers do not pay its memory
         from concurrent.futures import ProcessPoolExecutor
@@ -402,9 +402,6 @@ class LevelRealization:
         p = params.p
         self.p = p
         self.dim = aux.f_total
-        if self.dim > SPIN_DIM_CAP:
-            raise CapacityError(
-                f"residue field degree {self.dim} exceeds the spin cap")
         self.kappa: FieldCtx = make_field(p, self.dim)
         self.zeta = self.kappa.root_of_unity(aux.e_rel)
         self.space = VecSpace(p, self.dim)
@@ -521,12 +518,9 @@ def trace_key(p: int, ell: int, gens: list[list]) -> tuple:
                  for gk in accumulate([g] * ell, space.compose))
 
 
-def _restricted_gens(space: VecSpace, rows: tuple, taus: list, vs: list,
-                     p: int) -> list[list]:
-    sub = VecSpace(p, len(rows))
-    rows_l = list(rows)
-    return [restrict_map(space, rows_l, taus, sub),
-            restrict_map(space, rows_l, vs, sub)]
+def _restricted_gens(space: VecSpace, rows: tuple, gens: list) -> list[list]:
+    sub = VecSpace(space.p, len(rows))
+    return [restrict_map(space, rows, g, sub) for g in gens]
 
 
 def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
@@ -554,8 +548,7 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
         targets = [c for c in constituents(i, aux) if c.dim_over_fp == ell]
         if not targets:
             continue
-        taus = real.tau_images(i)
-        vs = real.v_images()
+        gens = [real.tau_images(i), real.v_images()]
         for cons in targets:
             orbit, kdim = cons.beta_orbit, cons.level_dim_contribution
             kernel_rows = real.beta_kernel(cons.s, cons.beta_modulus, orbit)
@@ -563,45 +556,39 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
                 raise InvariantError(f"kernel dimension {len(kernel_rows)} != "
                                      f"{kdim} at level {i}, beta orbit {orbit}")
             sub = VecSpace(p, len(kernel_rows))
-            kgens = _restricted_gens(space, kernel_rows, taus, vs, p)
+            kgens = _restricted_gens(space, kernel_rows, gens)
             kmod = Module(p, len(kernel_rows), kgens)
             subs = enumerate_irreducible_submodules(kmod, ell,
                                                     parallelism=parallelism)
             if not subs:
                 raise InvariantError(
                     f"no irreducible dim-{ell} submodules in kernel at level {i}")
-            # group by isomorphism, in order of each group's first member
-            groups: list[tuple[tuple, list[list], list[tuple]]] = []
+            # each submodule's class, by one lookup among the classes with
+            # its trace key; members in order of each class's first member
+            by_class: dict[_PhysicalClass, list[tuple]] = {}
             for rows in subs:
-                sgens = _restricted_gens(sub, rows, kgens[0], kgens[1], p)
-                key = trace_key(p, ell, sgens)
-                for gkey, rep_gens, members in groups:
-                    if gkey == key and hom_basis(p, sgens, rep_gens, ell, ell):
-                        members.append(rows)
-                        break
-                else:
-                    groups.append((key, sgens, [rows]))
-            for key, rep_gens, members in groups:
+                sgens = _restricted_gens(sub, rows, kgens)
+                bucket = buckets.setdefault(trace_key(p, ell, sgens), [])
+                cls = next((c for c in bucket if hom_basis(
+                    p, sgens, c.rep_gens, ell, ell)), None)
+                if cls is None:
+                    cls = _PhysicalClass(p, sgens, ell)
+                    classes.append(cls)
+                    bucket.append(cls)
+                by_class.setdefault(cls, []).append(rows)
+            for cls, members in by_class.items():
                 span_rows = sub.canon([r for rows in members for r in rows])
                 if len(span_rows) % ell != 0:
                     raise InvariantError("isotypic span dimension not divisible")
                 mult_here = len(span_rows) // ell
-                bucket = buckets.setdefault(key, [])
-                target_cls = next((cls for cls in bucket if hom_basis(
-                    p, rep_gens, cls.rep_gens, ell, ell)), None)
-                if target_cls is None:
-                    target_cls = _PhysicalClass(p, rep_gens, ell)
-                    classes.append(target_cls)
-                    bucket.append(target_cls)
-                law = subspace_count_law(target_cls.d, mult_here, p)
+                law = subspace_count_law(cls.d, mult_here, p)
                 if len(members) != law:
                     raise InvariantError(
                         f"kernel enumeration found {len(members)} submodules, "
                         f"law predicts {law}")
-                target_cls.levels.append(i)
-                target_cls.mults.append(mult_here)
-                target_cls.span_gens.append(_restricted_gens(
-                    sub, span_rows, kgens[0], kgens[1], p))
+                cls.levels.append(i)
+                cls.mults.append(mult_here)
+                cls.span_gens.append(_restricted_gens(sub, span_rows, kgens))
 
     # assemble per-class reports, classifying each representative once
     out_classes: list[OracleClassReport] = []
@@ -688,7 +675,7 @@ def _verify_block(p: int, ell: int, cls: _PhysicalClass, expected_count: int,
             f"block enumeration found {len(subs)} submodules; law predicts "
             f"{expected_count} for {desc.label}")
     sample = subs[0]
-    sgens = _restricted_gens(bspace, sample, tau_images, v_images, p)
+    sgens = _restricted_gens(bspace, sample, [tau_images, v_images])
     got = classify_submodule(p, ell, sgens)
     if got != desc:
         raise InvariantError(
@@ -716,9 +703,9 @@ def _sweep_levels(params, aux, real: LevelRealization, classes, level_cap: int,
                 expected += n_i
                 tally[cls.desc.label] = tally.get(cls.desc.label, 0) + n_i
         found_tally: dict[str, int] = {}
-        taus, vs = real.tau_images(i), real.v_images()
+        gens = [real.tau_images(i), real.v_images()]
         for rows in subs:
-            sgens = _restricted_gens(real.space, rows, taus, vs, p)
+            sgens = _restricted_gens(real.space, rows, gens)
             desc = classify_submodule(p, ell, sgens)
             found_tally[desc.label] = found_tally.get(desc.label, 0) + 1
         if len(subs) != expected or found_tally != tally:

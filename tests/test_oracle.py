@@ -293,6 +293,56 @@ def test_projective_scan_matches_the_full_scan(p):
     assert nonempty >= len(mods)  # every module has irreducibles
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_subspace_finishes_its_spin_from_one_seed(monkeypatch, p):
+    # a scan's spin reaches a target-dimension subspace only from its least
+    # vector, so no subspace is spun to, or tested for irreducibility,
+    # twice: not in one range and not across any split into ranges
+    rng = random.Random(10 + p)
+    max_dim = {2: 9, 3: 6, 5: 4}[p]
+    mods = [scalar_tower_module(p, d, max_dim // d) for d in (1, 2)]
+    mods += [_conjugated(m, rng) for m in mods]
+    for _ in range(8):
+        dim = rng.randrange(2, max_dim + 1)
+        space = VecSpace(p, dim)
+        mods.append(Module(p, dim, [
+            [space.from_coords(rng.randrange(p) if rng.random() < 0.4 else 0
+                               for _ in range(dim)) for _ in range(dim)]
+            for _ in range(rng.randrange(1, 3))]))
+    finished = []
+    real_spin = oracle_module.spin
+
+    def recording_spin(module, seed, abort_dim=None, abort_below=None):
+        rows = real_spin(module, seed, abort_dim, abort_below)
+        if abort_below is not None and rows is not None \
+                and len(rows) == abort_dim:
+            finished.append((seed, rows))
+        return rows
+
+    monkeypatch.setattr(oracle_module, "spin", recording_spin)
+    spun = 0
+    for mod in mods:
+        for target_dim in range(1, mod.dim + 1):
+            seeds = oracle_module.scan_seed_count(p, mod.dim, target_dim)
+            cuts = sorted(rng.sample(range(2, seeds + 1), min(5, seeds - 1)))
+            splits = [[(1, seeds + 1)],
+                      list(zip([1] + cuts, cuts + [seeds + 1])),
+                      [(t, t + 1) for t in range(1, seeds + 1)]]
+            outcomes = []
+            for ranges in splits:
+                finished.clear()
+                found = set()
+                for lo, hi in ranges:
+                    found |= oracle_module._scan_range(mod, target_dim, lo, hi)
+                subspaces = [rows for _, rows in finished]
+                assert len(set(subspaces)) == len(subspaces)
+                assert all(seed == min(rows) for seed, rows in finished)
+                outcomes.append((sorted(subspaces), found))
+                spun += len(subspaces)
+            assert outcomes[1] == outcomes[2] == outcomes[0]
+    assert spun > 100
+
+
 def test_enumerate_capacity_error_mentions_fallback():
     mod = trivial_module(2, 30)
     with pytest.raises(CapacityError, match="isotypic block"):
@@ -310,6 +360,19 @@ def test_residue_field_ceiling_stays_within_proven_primality():
     # 3^40 ~ 2^63.4 is admitted
     real = LevelRealization(params, make_aux_data(params, 8, 40))
     assert real.kappa.order == 3 ** 40
+
+
+def test_level_realization_leaves_the_spin_cap_to_module():
+    # make_field refuses every degree past FIELD_CEILING's bit length before
+    # any field work, so the realization has no spin-cap check of its own;
+    # the modules actually spun keep it
+    params = ExtensionParams(2, 3, 1, 1)
+    with pytest.raises(CapacityError, match="FIELD_CEILING"):
+        LevelRealization(params, make_aux_data(params, 1, 65))
+    space = VecSpace(2, 65)
+    with pytest.raises(CapacityError,
+                       match=f"exceeds {oracle_module.SPIN_DIM_CAP}$"):
+        Module(2, 65, [[space.unit(j) for j in range(65)]])
 
 
 def _columns(space_y: VecSpace, t: int, dim_x: int) -> list:
@@ -516,6 +579,19 @@ def test_trace_key_is_a_conjugacy_invariant(monkeypatch, point):
             assert hom_basis(p, conj, gens, ell, ell)
 
 
+@pytest.mark.parametrize("point", [(5, 2, 1, 1), (3, 2, 1, 2), (2, 3, 1, 3),
+                                   (3, 2, 2, 1)])
+def test_trace_key_only_filters(monkeypatch, point):
+    # with one key for every submodule, hom_basis alone decides each class:
+    # the same classes and report
+    params = ExtensionParams(*point)
+    keyed = oracle_census(params)
+    monkeypatch.setattr(oracle_module, "trace_key", lambda p, ell, gens: ())
+    flat = oracle_census(params)
+    assert repr(flat.classes) == repr(keyed.classes)
+    assert flat.report == keyed.report
+
+
 def test_census_hom_basis_and_min_poly_work_is_bounded(monkeypatch):
     hom_calls = 0
     min_polys = Counter()
@@ -535,8 +611,8 @@ def test_census_hom_basis_and_min_poly_work_is_bounded(monkeypatch):
     monkeypatch.setattr(LevelRealization, "beta_min_poly", counting_min_poly)
     oc = oracle_census(ExtensionParams(5, 2, 1, 1))
     # With no trace-key collision each kernel submodule costs one hom_basis
-    # call: joining its level group's first member, or that member joining
-    # its class, or (for a class's first member) the End(X) of the class.
+    # call: against its class's representative, or (for a class's first
+    # member) the End(X) of the class.
     # A linear lookup over groups and classes made 4,460 here.
     submodules = sum(subspace_count_law(c.d, m, 5)
                      for c in oc.classes for m in c.mult_by_level)
