@@ -1,10 +1,11 @@
 """Command line surface.
 
-Every report uses one JSON envelope (see schema.json): integers are
-serialized as decimal strings so arbitrary-precision counts survive any
-consumer, output is byte-identical across runs (and across
---seed-parallelism settings), and exit codes separate usage errors (1)
-from documented formula disagreements (2).
+Each command accepts only the flags it reads: the FLAG_GROUPS its row of
+build_parser's table names.  Every report uses one JSON envelope (see
+schema.json): integers are serialized as decimal strings so
+arbitrary-precision counts survive any consumer, output is byte-identical
+across runs (and across --seed-parallelism settings), and exit codes
+separate usage errors (1) from documented formula disagreements (2).
 """
 
 from __future__ import annotations
@@ -378,7 +379,8 @@ def _params_from(args) -> ExtensionParams:
         raise DomainError(f"missing required flags: "
                           f"{', '.join('--' + m for m in missing)}")
     return ExtensionParams(args.p, args.ell, args.eK, args.fK,
-                           allow_p_equals_ell=args.allow_p_eq_ell)
+                           allow_p_equals_ell=getattr(args, "allow_p_eq_ell",
+                                                      False))
 
 
 def _aux_from(args, params: ExtensionParams) -> AuxFieldData:
@@ -389,30 +391,30 @@ def _aux_from(args, params: ExtensionParams) -> AuxFieldData:
     return default_aux_data(params)
 
 
-def _add_common(sub: argparse.ArgumentParser, need_fixture: bool = False) -> None:
-    sub.add_argument("--p", type=int, default=None, help="residue characteristic")
-    sub.add_argument("--ell", type=int, default=None, help="exponent prime")
-    sub.add_argument("--eK", type=int, default=None, help="absolute ramification index")
-    sub.add_argument("--fK", type=int, default=None, help="absolute inertia degree")
-    sub.add_argument("--format", choices=("json", "csv", "plain"),
-                     default="json")
-    sub.add_argument("--e-rel", dest="e_rel", type=int, default=None,
-                     help="override the relative ramification index")
-    sub.add_argument("--f-rel", dest="f_rel", type=int, default=None,
-                     help="override the relative inertia degree")
-    sub.add_argument("--allow-p-eq-ell", dest="allow_p_eq_ell",
-                     action="store_true",
-                     help="evaluate formulas as written even when p = ell")
-    sub.add_argument("--seed-parallelism", dest="seed_parallelism", type=int,
-                     default=1, metavar="N",
-                     help="worker processes for seed scans, capped at the "
-                          "usable CPUs; output is byte-identical for any N")
-    sub.add_argument("--level-cap", dest="level_cap", type=int, default=0,
-                     help="exhaustively sweep whole levels up to this many "
-                          "vectors (0 = off)")
-    if need_fixture:
-        sub.add_argument("--fixture", required=True,
-                         help="path to a fixture JSON file")
+# each flag group once, as (flag, add_argument keywords); "point" goes to all
+FLAG_GROUPS = {
+    "point": (("--p", dict(type=int, help="residue characteristic")),
+              ("--ell", dict(type=int, help="exponent prime")),
+              ("--eK", dict(type=int, help="absolute ramification index")),
+              ("--fK", dict(type=int, help="absolute inertia degree")),
+              ("--format", dict(choices=("json", "csv", "plain"),
+                                default="json"))),
+    "allow": (("--allow-p-eq-ell", dict(action="store_true", help=(
+        "evaluate formulas as written even when p = ell"))),),
+    "aux": (("--e-rel", dict(type=int, help=(
+                "override the relative ramification index"))),
+            ("--f-rel", dict(type=int, help=(
+                "override the relative inertia degree")))),
+    "parallelism": (("--seed-parallelism", dict(
+        type=int, default=1, metavar="N",
+        help="worker processes for seed scans, capped at the usable CPUs; "
+             "output is byte-identical for any N")),),
+    "level_cap": (("--level-cap", dict(type=int, default=0, help=(
+        "exhaustively sweep whole levels up to this many vectors "
+        "(0 = off)"))),),
+    "fixture": (("--fixture", dict(required=True,
+                                   help="path to a fixture JSON file")),),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,24 +424,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "local field extensions without intermediate fields")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "count": (_cmd_count, "closed-form census totals and per-group counts"),
-        "groups": (_cmd_groups,
+    commands = {  # name: (handler, flag groups besides "point", help)
+        "count": (_cmd_count, ("allow",),
+                  "closed-form census totals and per-group counts"),
+        "groups": (_cmd_groups, ("allow",),
                    "catalog of normal-closure groups with matrix generators"),
-        "module": (_cmd_module,
+        "module": (_cmd_module, ("aux",),
                    "level modules, constituents, and the span profile"),
-        "oracle": (_cmd_oracle,
+        "oracle": (_cmd_oracle, ("aux", "parallelism", "level_cap"),
                    "independent census by explicit submodule enumeration"),
-        "ramify": (_cmd_ramify,
+        "ramify": (_cmd_ramify, ("aux",),
                    "jump schedule, different, and discriminant routes"),
-        "audit": (_cmd_audit, "cross-validation report (exit 2 on disagreements)"),
-        "selftest": (_cmd_selftest, "run the built-in smoke grid"),
-        "crosscheck": (_cmd_crosscheck,
+        "audit": (_cmd_audit, ("aux", "parallelism"),
+                  "cross-validation report (exit 2 on disagreements)"),
+        "selftest": (_cmd_selftest, ("parallelism",),
+                     "run the built-in smoke grid"),
+        "crosscheck": (_cmd_crosscheck, ("allow", "fixture"),
                        "compare census output against a fixture file"),
     }
-    for name, (handler, help_text) in commands.items():
+    for name, (handler, groups, help_text) in commands.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub, need_fixture=(name == "crosscheck"))
+        for group in ("point", *groups):
+            for flag, kwargs in FLAG_GROUPS[group]:
+                sub.add_argument(flag, **kwargs)
         sub.set_defaults(handler=handler)
     return parser
 
@@ -455,10 +462,10 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         return 0
     try:
-        if args.seed_parallelism < 1:
+        if getattr(args, "seed_parallelism", 1) < 1:
             raise DomainError(f"--seed-parallelism must be at least 1, got "
                               f"{args.seed_parallelism}")
-        if args.level_cap < 0:
+        if getattr(args, "level_cap", 0) < 0:
             raise DomainError(f"--level-cap must be at least 0, got "
                               f"{args.level_cap}")
         body, csv_rows, code = args.handler(args)

@@ -16,10 +16,9 @@ adds exponent tuples mod p^ell - 1 instead of multiplying field elements.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import closure, multiplicative_order, power
+from .arith import closure, power
 from .census import ExtensionParams, GroupClass, census_by_group
 from .errors import DomainError, InvariantError
 from .ffield import FieldCtx, make_field
@@ -117,16 +116,6 @@ def closure_elements(generators, ctx: FieldCtx, cap: int = CLOSURE_CAP,
 # ---------------------------------------------------------------------------
 # split / nonsplit conventions (shared with the module oracle)
 
-@lru_cache(maxsize=None)
-def least_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        if multiplicative_order(g, p) == p - 1:
-            return g
-    raise DomainError(f"{p} has no primitive root; not prime?")
-
-
 def power_sum(p: int, ell: int) -> int:
     """1 + p + ... + p^(ell-1)."""
     return (p ** ell - 1) // (p - 1)
@@ -141,9 +130,9 @@ def beta_is_power_residue(c: int, beta_order: int, p: int, ell: int) -> bool:
 
 def coset_generator(c: int, p: int) -> int:
     """The canonical generator h = g^((p-1)/g1) of C intersect F_p*, for g
-    the least primitive root mod p and g1 = gcd(c, p-1); the nonsplit
-    class j is the coset of h^j."""
-    return pow(least_primitive_root(p), (p - 1) // gcd(c, p - 1), p)
+    the generator of make_field(p, 1) (the least primitive root mod p) and
+    g1 = gcd(c, p-1); the nonsplit class j is the coset of h^j."""
+    return pow(make_field(p, 1).generator, (p - 1) // gcd(c, p - 1), p)
 
 
 def nonsplit_index(c: int, beta_residue: int, p: int, ell: int) -> int:

@@ -328,12 +328,15 @@ class VecSpace:
 def restrict_map(space: VecSpace, block_rows: list, images: list,
                  sub: VecSpace) -> list:
     """Basis images, in block coordinates, of the map with the given basis
-    images restricted to the span of block_rows; raises if the span is not
-    invariant."""
+    images restricted to the span of block_rows, a reduced echelon basis
+    (as canon, spin and kernel give).  Coordinates are read at the rows'
+    pivots and checked by rebuilding each image: DomainError if the span is
+    not invariant or the rows are not reduced."""
     out = []
     for img in space.compose(images, block_rows):
-        coords = space.solve(block_rows, img)
-        if coords is None:
-            raise DomainError("subspace is not invariant under the map")
-        out.append(sub.from_coords(coords))
+        coords = sub.from_coords(space.component(img, space.pivot(r))
+                                 for r in block_rows)
+        if space.compose(block_rows, (coords,))[0] != img:
+            raise DomainError("span is not invariant or rows are not reduced")
+        out.append(coords)
     return out

@@ -267,8 +267,7 @@ def subspace_count_law(d: int, mult: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # equivariant maps
 
-def hom_basis(p: int, gens_x: list[list], gens_y: list[list],
-              dim_x: int, dim_y: int) -> tuple:
+def hom_basis(p: int, gens_x: list[list], gens_y: list[list]) -> tuple:
     """Basis of equivariant linear maps X -> Y, given generator images on
     each side (same generator order).  Nonzero space <=> isomorphic, for
     irreducible modules of equal dimension; dim End(X) is the
@@ -277,6 +276,7 @@ def hom_basis(p: int, gens_x: list[list], gens_y: list[list],
     T[i][j] is coordinate j*dim_y + i.  The basis is the kernel of
     T -> (T gx - gy T) over all generators, one block of dim_x*dim_y lanes
     per generator, taken on the images of the matrix units E_ij."""
+    dim_x, dim_y = len(gens_x[0]), len(gens_y[0])
     n = dim_x * dim_y
     gens = list(zip(gens_x, gens_y))
     maps = VecSpace(p, n)
@@ -293,7 +293,7 @@ def hom_basis(p: int, gens_x: list[list], gens_y: list[list],
             for i in range(dim_y):
                 img = maps.add(row << (i * w), neg_gy[i] << (j * dim_y * w))
                 images[j * dim_y + i] |= img << (g * n * w)
-    return VecSpace(p, n * max(1, len(gens))).kernel(images)
+    return VecSpace(p, n * len(gens)).kernel(images)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +499,12 @@ class _PhysicalClass:
     multiplicity and the (tau, v) images on its isotypic span there; and
     its classification, once every level is seen."""
 
-    def __init__(self, p: int, rep_gens: list[list], ell: int) -> None:
+    def __init__(self, p: int, rep_gens: list[list]) -> None:
         self.rep_gens = rep_gens
         self.levels: list[int] = []
         self.mults: list[int] = []
         self.span_gens: list[list[list]] = []
-        self.d = len(hom_basis(p, rep_gens, rep_gens, ell, ell))
+        self.d = len(hom_basis(p, rep_gens, rep_gens))
         self.desc: GroupClass | None = None
 
 
@@ -569,10 +569,10 @@ def oracle_census(params: ExtensionParams, aux: AuxFieldData | None = None,
             for rows in subs:
                 sgens = _restricted_gens(sub, rows, kgens)
                 bucket = buckets.setdefault(trace_key(p, ell, sgens), [])
-                cls = next((c for c in bucket if hom_basis(
-                    p, sgens, c.rep_gens, ell, ell)), None)
+                cls = next((c for c in bucket
+                            if hom_basis(p, sgens, c.rep_gens)), None)
                 if cls is None:
-                    cls = _PhysicalClass(p, sgens, ell)
+                    cls = _PhysicalClass(p, sgens)
                     classes.append(cls)
                     bucket.append(cls)
                 by_class.setdefault(cls, []).append(rows)

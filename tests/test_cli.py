@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: schema, exit codes, determinism, fixtures."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,11 +188,13 @@ def test_usage_errors_exit_one():
                    "--fK", "1").returncode == 1
 
 
-@pytest.mark.parametrize("command", ["count", "oracle"])
-@pytest.mark.parametrize("flag,value", [("--seed-parallelism", "-3"),
-                                        ("--seed-parallelism", "0"),
-                                        ("--level-cap", "-5")])
-def test_nonsensical_counts_are_usage_errors(command, flag, value):
+@pytest.mark.parametrize("flag,value,command", [
+    ("--seed-parallelism", "-3", "oracle"), ("--seed-parallelism", "0", "oracle"),
+    ("--level-cap", "-5", "oracle"),
+    ("--seed-parallelism", "-3", "selftest"),
+    ("--seed-parallelism", "0", "selftest"),
+    ("--seed-parallelism", "-3", "audit"), ("--seed-parallelism", "0", "audit")])
+def test_nonsensical_counts_are_usage_errors(flag, value, command):
     proc = run_cli(command, "--p", "2", "--ell", "3", "--eK", "1", "--fK", "1",
                    flag, value)
     assert proc.returncode == 1
@@ -199,6 +202,62 @@ def test_nonsensical_counts_are_usage_errors(command, flag, value):
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines()
             if line.startswith("error:") and flag in line and value in line]
+
+
+# one value per settable flag, and the flags each command declares: the
+# point flags and --format everywhere, then its own groups
+FLAG_VALUES = {"--p": "2", "--ell": "3", "--eK": "1", "--fK": "1",
+               "--format": "csv", "--allow-p-eq-ell": None, "--e-rel": "4",
+               "--f-rel": "2", "--seed-parallelism": "2", "--level-cap": "5",
+               "--fixture": str(FIXTURE)}
+POINT = ("--p", "--ell", "--eK", "--fK", "--format")
+AUX = ("--e-rel", "--f-rel")
+DECLARED = {
+    "count": POINT + ("--allow-p-eq-ell",),
+    "groups": POINT + ("--allow-p-eq-ell",),
+    "module": POINT + AUX,
+    "oracle": POINT + AUX + ("--seed-parallelism", "--level-cap"),
+    "ramify": POINT + AUX,
+    "audit": POINT + AUX + ("--seed-parallelism",),
+    "selftest": POINT + ("--seed-parallelism",),
+    "crosscheck": POINT + ("--allow-p-eq-ell", "--fixture"),
+}
+
+
+def test_each_command_accepts_exactly_the_flags_it_declares(monkeypatch,
+                                                            capsys):
+    received = []
+
+    def handler(args):
+        received.append(vars(args))
+        return {}, None, cli.EXIT_OK
+
+    for command in DECLARED:
+        monkeypatch.setattr(cli, f"_cmd_{command}", handler)
+    accepted = 0
+    for command, declared in DECLARED.items():
+        required = ["--fixture", str(FIXTURE)] if command == "crosscheck" else []
+        for flag, value in FLAG_VALUES.items():
+            argv = [command, *required, flag, *([value] if value else [])]
+            received.clear()
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            if flag in declared:
+                accepted += 1
+                assert code == 0, (argv, err)
+                dest = flag.lstrip("-").replace("-", "_")
+                expected = (True if value is None else
+                            int(value) if value.lstrip("-").isdigit() else value)
+                assert received[0][dest] == expected, argv
+            else:
+                assert code == 1, argv
+                assert out == "" and not received, argv
+                assert f"unrecognized arguments: {flag}" in err, err
+                assert "Traceback" not in err
+        cli.main([command, "--help"])
+        listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+        assert listed - {"--help"} == set(declared), command
+    assert accepted == 56
 
 
 def test_module_refuses_the_span_cap_before_building_constituents(

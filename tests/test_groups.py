@@ -10,7 +10,7 @@ from padicext.census import ExtensionParams, census_by_group
 from padicext.errors import CapacityError, DomainError, InvariantError
 from padicext.ffield import FieldCtx, make_field
 from padicext.groups import (MonomialMatrix, catalog, closure_elements,
-                             frobenius_rep, generator_matrices, nonsplit_index,
+                             coset_generator, frobenius_rep, generator_matrices, nonsplit_index,
                              power_sum, regular_rep, split_class)
 from padicext.linalg import VecSpace
 from padicext.oracle import (_mat_mul, classify_submodule,
@@ -123,6 +123,13 @@ def test_nonsplit_index_refuses_beta_outside_the_coset_subgroup():
     with pytest.raises(DomainError, match="3 is not in the order-2 subgroup mod 7"):
         nonsplit_index(2, 3, 7, 2)
     assert nonsplit_index(2, 6, 7, 2) == 1
+
+
+def test_coset_generators_start_from_sympy_least_primitive_root():
+    # c = p - 1 gives h = g itself, the generator of make_field(p, 1)
+    sympy = pytest.importorskip("sympy")
+    for p in sympy.primerange(2, 5000):
+        assert coset_generator(p - 1, p) == sympy.ntheory.primitive_root(p), p
 
 
 def test_split_class_rejects_beta_outside_prime_field():

@@ -102,6 +102,40 @@ def test_restrict_map_to_invariant_subspace():
     assert apply_sub(sub.unit(1)) == sub.unit(0)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_restrict_map_reads_the_solved_coordinates(p):
+    # every image of the two maps lies in W, so W is invariant under both;
+    # the coordinates read at W's pivots are the ones solve finds
+    rng = random.Random(p)
+    n = 8
+    space = VecSpace(p, n)
+    for k in range(1, n):
+        rows = list(space.canon([random_vec(space, rng) for _ in range(k)]))
+        sub = VecSpace(p, len(rows))
+        for _ in range(2):
+            images = space.compose(rows, [random_vec(sub, rng)
+                                          for _ in range(n)])
+            solved = [sub.from_coords(space.solve(rows, img))
+                      for img in space.compose(images, rows)]
+            assert restrict_map(space, rows, images, sub) == solved
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_restrict_map_refuses_a_moved_span_and_unreduced_rows(p):
+    space = VecSpace(p, 6)
+    shift = [space.unit((j + 1) % 6) for j in range(6)]
+    with pytest.raises(DomainError):  # e0 goes to e1, outside its span
+        restrict_map(space, [space.unit(0)], shift, VecSpace(p, 1))
+    u = space.from_coords([1, 0, 1, 0, 1, 0])
+    w = space.from_coords([0, 1, 0, 1, 0, 1])
+    # span(u, w) is shift-invariant, but u + w is not zero at u's pivot
+    unreduced = [space.add(u, w), u]
+    assert all(space.solve(unreduced, img) is not None
+               for img in space.compose(shift, unreduced))
+    with pytest.raises(DomainError):
+        restrict_map(space, unreduced, shift, VecSpace(p, 2))
+
+
 def test_coords_to_vec_codecs():
     assert VecSpace(2, 4).from_coords((1, 0, 1, 1)) == 0b1101
     space = VecSpace(3, 3)

@@ -422,7 +422,7 @@ def test_hom_basis_matches_brute_force_count(p, dim_x, dim_y):
             gens_y = gens_x  # End(X) holds at least the scalars
         else:
             gens_y = [_random_images(sy, rng) for _ in range(k)]
-        basis = hom_basis(p, gens_x, gens_y, dim_x, dim_y)
+        basis = hom_basis(p, gens_x, gens_y)
         brute = sum(1 for t in range(p ** (dim_x * dim_y))
                     if _equivariant(sy, maps.decode(t), gens_x, gens_y, dim_x))
         assert p ** len(basis) == brute, (gens_x, gens_y)
@@ -536,8 +536,8 @@ def _class_representatives(monkeypatch, point):
     reps = []
 
     class Recording(oracle_module._PhysicalClass):
-        def __init__(self, p, rep_gens, ell):
-            super().__init__(p, rep_gens, ell)
+        def __init__(self, p, rep_gens):
+            super().__init__(p, rep_gens)
             reps.append(rep_gens)
 
     monkeypatch.setattr(oracle_module, "_PhysicalClass", Recording)
@@ -576,7 +576,7 @@ def test_trace_key_is_a_conjugacy_invariant(monkeypatch, point):
             P, P_inv = _random_conjugator(space, rng)
             conj = [space.compose(P, space.compose(g, P_inv)) for g in gens]
             assert trace_key(p, ell, conj) == key
-            assert hom_basis(p, conj, gens, ell, ell)
+            assert hom_basis(p, conj, gens)
 
 
 @pytest.mark.parametrize("point", [(5, 2, 1, 1), (3, 2, 1, 2), (2, 3, 1, 3),
