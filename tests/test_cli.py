@@ -247,7 +247,7 @@ def test_each_command_accepts_exactly_the_flags_it_declares(monkeypatch,
                 assert code == 0, (argv, err)
                 dest = flag.lstrip("-").replace("-", "_")
                 expected = (True if value is None else
-                            int(value) if value.lstrip("-").isdigit() else value)
+                            int(value) if value.isdigit() else value)
                 assert received[0][dest] == expected, argv
             else:
                 assert code == 1, argv
