@@ -447,14 +447,19 @@ def build_parser() -> argparse.ArgumentParser:
         for group in ("point", *groups):
             for flag, kwargs in FLAG_GROUPS[group]:
                 sub.add_argument(flag, **kwargs)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, command_parser=sub)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # leftovers are refused by the command's parser, whose usage line
+        # lists the flags that command takes
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.command_parser.error(
+                f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the artifact reserves 2 for
         # formula disagreements, so remap

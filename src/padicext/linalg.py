@@ -295,7 +295,11 @@ class VecSpace:
         return out
 
     def kernel(self, images: list) -> tuple:
-        """Canonical basis of {x : sum x_j images[j] = 0}."""
+        """Canonical basis of {x : sum x_j images[j] = 0}; refuses more
+        than n images, since the tag of image n would land in the image
+        lanes."""
+        if len(images) > self.n:
+            raise DomainError(f"{len(images)} images in F_{self.p}^{self.n}")
         # eliminate on [image | tag] rows: the tag (low lanes) records the
         # combination of units, the image (high lanes) carries the pivots
         aug = VecSpace(self.p, 2 * self.n)

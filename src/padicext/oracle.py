@@ -20,11 +20,14 @@ seed's spin meets a vector below the seed and aborts.  An l-dimensional
 subspace has l distinct pivots, so that vector's pivot is at most n - l:
 the scan for dimension l spins only the (p^(n-l+1) - 1)/(p - 1) seeds with
 pivot at most n - l (scan_seed_count).  A seed is skipped unspun when a
-generator's image of it already gives a smaller vector of its spin.  With
-parallelism N > 1, a scan of at least PARALLEL_MIN_SEEDS seeds runs in
-min(N, usable CPUs) worker processes; the result, and so every output
-byte, is the same for any N.  EXHAUSTIVE_CAP and BLOCK_CAP bound p^n, not
-the seeds.
+generator's image of it already gives a smaller vector of its spin.  Every
+vector of an l-dimensional submodule lies in ker q(g) for some monic q of
+degree l, for each generator g; when these kernels hold fewer lines than
+there are seeds, only those lines are spun, in the calling process
+(_candidate_lines).  Otherwise, with parallelism N > 1, a scan of at least
+PARALLEL_MIN_SEEDS seeds runs in min(N, usable CPUs) worker processes; the
+result, and so every output byte, is the same for any N.  EXHAUSTIVE_CAP
+and BLOCK_CAP bound p^n, not the seeds.
 """
 
 from __future__ import annotations
@@ -168,21 +171,24 @@ def _scan_range(module: Module, target_dim: int, lo: int, hi: int):
                 if not images & mask and reduce(images >> shift & to_k, (seed,)):
                     break
             else:
-                rows = spin(module, seed, abort_dim=target_dim,
-                            abort_below=seed)
-                if (rows is not None and len(rows) == target_dim
-                        and _irreducible(module, rows, target_dim)):
+                rows = _target_from(module, seed, target_dim)
+                if rows:
                     found.add(rows)
     return found
 
 
-def _irreducible(module: Module, rows: tuple, target_dim: int) -> bool:
-    """Whether every line of the span of rows spins to all of it."""
+def _target_from(module: Module, seed: int, target_dim: int):
+    """spin(seed) when seed is the least vector of an irreducible
+    submodule of the target dimension (every line of which spins to all of
+    it), else None."""
+    rows = spin(module, seed, abort_dim=target_dim, abort_below=seed)
+    if rows is None or len(rows) != target_dim:
+        return None
     for line in module.space.span_lines(rows):
         sub = spin(module, line, abort_dim=target_dim)
         if sub is None or len(sub) != target_dim:
-            return False
-    return True
+            return None
+    return rows
 
 
 def _scan_task(p: int, dim: int, generator_images: list[list],
@@ -218,6 +224,41 @@ def scan_seed_count(p: int, dim: int, target_dim: int) -> int:
     return (p ** (dim - target_dim + 1) - 1) // (p - 1)
 
 
+def _candidate_lines(module: Module, target_dim: int, seeds: int):
+    """The seeds that can lie in a target_dim-dimensional submodule, in
+    ascending order; None unless fewer than `seeds` (counted per piece).
+    A vector of an l-dimensional g-invariant subspace has a g-cyclic span
+    of dimension at most l, so q(g) kills it for some monic q of degree l:
+    it lies in a ker q(g) for every generator g.  The pieces are these
+    intersections; a g with I, g, ..., g^l dependent cuts nothing."""
+    space, p, n, ell = module.space, module.p, module.dim, target_dim
+    ident = [space.unit(j) for j in range(n)]
+    flat = VecSpace(p, max(n * n, ell + 1))  # a matrix as one vector
+    monic = VecSpace(p, ell + 1)  # coefficients, x^ell in lane ell
+    width = n * space.w
+    pieces = {tuple(reversed(ident))}
+    for g in module.generator_images:
+        powers = list(accumulate([g] * ell, space.compose, initial=ident))
+        if flat.kernel([sum(img << (j * width) for j, img in enumerate(gk))
+                        for gk in powers]):
+            continue
+        columns = list(zip(*powers))  # g^0 e_j, ..., g^ell e_j
+        cut = set()
+        for key in range(p ** ell, 2 * p ** ell):
+            q = monic.decode(key)
+            qg = [space.compose(col, (q,))[0] for col in columns]
+            for rows in pieces:
+                ker = space.kernel(space.compose(qg, rows))
+                if ker:
+                    cut.add(space.canon(space.compose(rows, ker)))
+        pieces = cut
+    # a piece's vectors with pivot at most n - ell: the span of its last rows
+    tails = [[r for r in rows if space.pivot(r) <= n - ell] for rows in pieces]
+    if sum(p ** len(t) - 1 for t in tails) // (p - 1) >= seeds:
+        return None
+    return sorted({v for t in tails for v in space.span_lines(t)})
+
+
 def enumerate_irreducible_submodules(module: Module, target_dim: int,
                                      cap: int = EXHAUSTIVE_CAP,
                                      parallelism: int = 1) -> tuple:
@@ -226,13 +267,18 @@ def enumerate_irreducible_submodules(module: Module, target_dim: int,
     (abort_below makes each subspace's verdict independent of how the
     seeds are split).  Only the scan_seed_count seeds with pivot at most
     dim - target_dim are spun: each submodule's least nonzero vector is
-    one of them."""
+    one of them.  When fewer of them are _candidate_lines, only those are
+    spun, in this process."""
     p = module.p
     if p ** module.dim > cap:
         raise CapacityError(
             f"exhaustive enumeration needs p^dim <= {cap}; restrict to one "
             f"level or one isotypic block instead")
     seeds = scan_seed_count(p, module.dim, target_dim)
+    lines = _candidate_lines(module, target_dim, seeds)
+    if lines is not None:
+        found = {_target_from(module, seed, target_dim) for seed in lines}
+        return tuple(sorted(found - {None}))
     workers = 1
     if parallelism > 1 and seeds >= PARALLEL_MIN_SEEDS:
         workers, ranges = _scan_plan(seeds, parallelism)

@@ -253,6 +253,8 @@ def test_each_command_accepts_exactly_the_flags_it_declares(monkeypatch,
                 assert code == 1, argv
                 assert out == "" and not received, argv
                 assert f"unrecognized arguments: {flag}" in err, err
+                # the usage shown is the command's own, listing its flags
+                assert err.startswith(f"usage: padicext {command} "), err
                 assert "Traceback" not in err
         cli.main([command, "--help"])
         listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))

@@ -155,6 +155,19 @@ def test_from_coords_refuses_coordinates_past_n():
     assert VecSpace(3, 2).from_coords([1]) == 1
 
 
+def test_kernel_refuses_more_images_than_n():
+    # x = (1, 1, 1) is the kernel of [e0, e1, e0 + e1] over F_2, and
+    # (1, 1) that of [e0, 2 e0] over F_3; a kernel vector with more
+    # coordinates than n is not a vector of the space, and the tag of image
+    # n would land in the image lanes
+    for space, images in ((VecSpace(2, 2), [1, 2, 3]), (VecSpace(3, 1), [1, 2])):
+        with pytest.raises(DomainError):
+            space.kernel(images)
+    assert VecSpace(2, 3).kernel([1, 2, 3]) == (0b111,)
+    space = VecSpace(3, 2)
+    assert space.kernel([1, 2]) == (space.from_coords([1, 1]),)
+
+
 # ---------------------------------------------------------------------------
 # differential check of the lane codec against a coordinate-tuple reference
 

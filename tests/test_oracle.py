@@ -343,6 +343,117 @@ def test_each_subspace_finishes_its_spin_from_one_seed(monkeypatch, p):
     assert spun > 100
 
 
+def test_pruned_sweep_matches_the_full_scan_on_level_modules():
+    # every (3,2,1,1) level and level 9 of (2,3,1,1): a generator of
+    # minimal polynomial degree above ell leaves few candidate lines, and
+    # spinning them finds what the scan of every seed finds
+    for point, levels in (((3, 2, 1, 1), None), ((2, 3, 1, 1), (9,))):
+        params = ExtensionParams(*point)
+        aux = default_aux_data(params)
+        real = LevelRealization(params, aux)
+        for i in levels or level_indices(aux):
+            mod = real.level_module(i)
+            seeds = oracle_module.scan_seed_count(params.p, mod.dim, params.ell)
+            lines = oracle_module._candidate_lines(mod, params.ell, seeds)
+            assert lines is not None and len(lines) < seeds, (point, i)
+            full = oracle_module._scan_range(mod, params.ell, 1, seeds + 1)
+            assert enumerate_irreducible_submodules(
+                mod, params.ell, cap=params.p ** mod.dim) == \
+                tuple(sorted(full)), (point, i)
+
+
+def _random_module(p: int, dim: int, rng) -> Module:
+    space = VecSpace(p, dim)
+    return Module(p, dim, [[space.from_coords(rng.randrange(p)
+                                              for _ in range(dim))
+                            for _ in range(dim)] for _ in range(2)])
+
+
+def _direct_sum(p: int, parts: list) -> Module:
+    dim = sum(m.dim for m in parts)
+    w = VecSpace(p, dim).w
+    gens = [[], []]
+    offset = 0
+    for m in parts:
+        for g, images in zip(gens, m.generator_images):
+            g.extend(img << (offset * w) for img in images)
+        offset += m.dim
+    return Module(p, dim, gens)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_candidate_lines_hold_every_submodule_of_a_mixed_module(p):
+    # direct sums of 2-3 random modules with no nonzero equivariant map
+    # between two of equal dimension (so no two are isomorphic)
+    rng = random.Random(20 + p)
+    max_dim = {2: 9, 3: 6, 5: 4}[p]
+    pruned = 0
+    for _ in range(10):
+        while True:
+            dims = [rng.randrange(1, 4) for _ in range(rng.randrange(2, 4))]
+            if sum(dims) <= max_dim:
+                break
+        parts = []
+        for d in dims:
+            while True:
+                m = _random_module(p, d, rng)
+                if not any(o.dim == d and hom_basis(p, m.generator_images,
+                                                    o.generator_images)
+                           for o in parts):
+                    break
+            parts.append(m)
+        mod = _direct_sum(p, parts)
+        space = mod.space
+        for target_dim in range(1, mod.dim + 1):
+            ref = full_scan_reference(mod, target_dim)
+            # every seed a found submodule holds is a candidate
+            lines = set(oracle_module._candidate_lines(mod, target_dim,
+                                                       p ** mod.dim))
+            for rows in ref:
+                assert {v for v in space.span_lines(rows)
+                        if space.pivot(v) <= mod.dim - target_dim} <= lines
+            seeds = oracle_module.scan_seed_count(p, mod.dim, target_dim)
+            pruned += len(lines) < seeds
+            assert enumerate_irreducible_submodules(mod, target_dim) == ref, \
+                (mod.generator_images, target_dim)
+    assert pruned >= 10
+
+
+def test_level_sweep_spins_only_candidate_lines(monkeypatch):
+    # at (2,3,1,1) every level has 3 candidate lines: one spin each, and
+    # 7 more per submodule found (its lines, spun by _target_from)
+    calls = []
+    real_spin = oracle_module.spin
+
+    def counting_spin(*args, **kwargs):
+        calls.append(args[1])
+        return real_spin(*args, **kwargs)
+
+    def no_scan(*args):
+        raise AssertionError("a level sweep planned or scanned seed ranges")
+
+    monkeypatch.setattr(oracle_module, "spin", counting_spin)
+    monkeypatch.setattr(oracle_module, "_scan_range", no_scan)
+    monkeypatch.setattr(oracle_module, "_scan_plan", no_scan)
+    params = ExtensionParams(2, 3, 1, 1)
+    aux = default_aux_data(params)
+    real = LevelRealization(params, aux)
+    for i in level_indices(aux):
+        calls.clear()
+        subs = enumerate_irreducible_submodules(real.level_module(i), 3,
+                                                cap=2 ** 21, parallelism=2)
+        assert subs and len(calls) <= 3 + 7 * len(subs), (i, len(calls))
+
+
+def test_level_sweep_reaches_a_16_dimensional_point():
+    # a full scan would spin (3^15 - 1)/2 = 7,174,453 seeds per level
+    oc = oracle_census(ExtensionParams(3, 2, 1, 2), level_cap=3 ** 16)
+    assert oc.matches_closed_form
+    assert len(oc.level_exhaustive) == 8
+    assert sum(r.found for r in oc.level_exhaustive) == 108
+    assert all(r.found == r.expected for r in oc.level_exhaustive)
+
+
 def test_enumerate_capacity_error_mentions_fallback():
     mod = trivial_module(2, 30)
     with pytest.raises(CapacityError, match="isotypic block"):
