@@ -233,14 +233,14 @@ def _candidate_lines(module: Module, target_dim: int, seeds: int):
     intersections; a g with I, g, ..., g^l dependent cuts nothing."""
     space, p, n, ell = module.space, module.p, module.dim, target_dim
     ident = [space.unit(j) for j in range(n)]
-    flat = VecSpace(p, max(n * n, ell + 1))  # a matrix as one vector
+    flat = VecSpace(p, n * n)  # a matrix as one vector
     monic = VecSpace(p, ell + 1)  # coefficients, x^ell in lane ell
     width = n * space.w
     pieces = {tuple(reversed(ident))}
     for g in module.generator_images:
         powers = list(accumulate([g] * ell, space.compose, initial=ident))
-        if flat.kernel([sum(img << (j * width) for j, img in enumerate(gk))
-                        for gk in powers]):
+        if len(flat.canon(sum(img << (j * width) for j, img in enumerate(gk))
+                          for gk in powers)) <= ell:
             continue
         columns = list(zip(*powers))  # g^0 e_j, ..., g^ell e_j
         cut = set()

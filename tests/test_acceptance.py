@@ -105,8 +105,8 @@ def test_criterion_3_oracle_equivalence_mixed_case():
     assert {e.label: e.count for e in oc2.report.by_group} == \
         {"C(7)": 2, "NA(7,split)": 14}
     assert all(c.verified_exhaustively for c in oc2.classes)
-    # the whole-level sweeps each cover 2^21 vectors: 2^19 - 1 seeds,
-    # those with pivot at most 21 - 3
+    # the whole-level sweeps each cover 2^21 vectors: of the 2^19 - 1
+    # seeds with pivot at most 21 - 3, 3 candidate lines per level
     assert [r.level for r in oc2.level_exhaustive] == [1, 3, 5, 7, 9, 11, 13]
     assert dict((r.level, r.found) for r in oc2.level_exhaustive)[7] == 2
 
@@ -121,7 +121,7 @@ def test_criterion_3_oracle_equivalence_mixed_case():
     assert elapsed < 300.0, f"criterion 3 took {elapsed:.1f}s (budget 300s)"
     _report(3, f"oracle census equals closed form at (2,3) and (3,2) with "
                f"exhaustive confirmation (largest sweep 2^21 vectors, "
-               f"2^19 - 1 seeds) "
+               f"3 candidate lines of 2^19 - 1 seeds) "
                f"in {elapsed:.1f}s")
 
 
