@@ -6,14 +6,22 @@ schema.json): integers are serialized as decimal strings so
 arbitrary-precision counts survive any consumer, output is byte-identical
 across runs (and across --seed-parallelism settings), and exit codes
 separate usage errors (1) from documented formula disagreements (2).
+
+main writes the envelope once its command has returned, so a refusal
+leaves stdout empty.  The JSON is streamed by _write_json, byte for byte
+json.dumps(_jsonable(envelope), sort_keys=True, indent=2); CSV rows go
+through csv.writer, which quotes a cell holding a comma.  A closed pipe
+ends the call with exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .action import (AuxFieldData, constituents, default_aux_data,
@@ -75,13 +83,66 @@ def _census_block(report: CensusReport) -> dict:
     }
 
 
+# JSON text of the values written as they are; a str subclass, an int
+# subclass or any other type goes through _jsonable
+_LEAVES = {type(None): lambda v: "null", bool: lambda v: "true" if v else "false",
+           int: lambda v: '"%d"' % v, str: encode_basestring_ascii}
+
+
+def _write_json(obj, write, pad: str = "\n") -> None:
+    """Write json.dumps(_jsonable(obj), sort_keys=True, indent=2) byte for
+    byte in one walk, copying only what _jsonable must convert.  A list of
+    dicts with the same str keys and leaf values goes through one template."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        write(leaf(obj))
+    elif isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif type(obj) is dict and all(type(k) is str for k in obj):
+        inner = pad + "  "
+        for i, key in enumerate(sorted(obj)):
+            write(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], write, inner)
+        write(pad + "}" if obj else "{}")
+    elif type(obj) is list:
+        inner = pad + "  "
+        keys = _record_keys(obj)
+        if keys:
+            row = "{%s%s}" % (",".join(
+                inner + "  " + encode_basestring_ascii(k).replace("%", "%%")
+                + ": %s" for k in keys), inner)
+            for i, rec in enumerate(obj):
+                write(("," if i else "[") + inner + row % tuple(
+                    _LEAVES[type(rec[k])](rec[k]) for k in keys))
+        else:
+            for i, item in enumerate(obj):
+                write(("," if i else "[") + inner)
+                _write_json(item, write, inner)
+        write(pad + "]" if obj else "[]")
+    else:
+        _write_json(_jsonable(obj), write, pad)
+
+
+def _record_keys(items: list):
+    """The sorted keys of items when every element is a dict with the same
+    str keys and only leaf values, else None."""
+    keys = items[0].keys() if items and type(items[0]) is dict else None
+    if keys and all(type(rec) is dict and rec.keys() == keys and all(
+            type(k) is str and type(v) in _LEAVES for k, v in rec.items())
+                    for rec in items):
+        return sorted(keys)
+    return None
+
+
 def _emit(envelope: dict, fmt: str, csv_rows) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonable(envelope), sort_keys=True, indent=2))
+        _write_json(envelope, sys.stdout.write)
+        sys.stdout.write("\n")
     elif fmt == "csv":
+        import csv
         rows = csv_rows if csv_rows is not None else _flatten_rows(envelope)
-        for row in rows:
-            print(",".join(str(c) for c in row))
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            [str(c) for c in row] for row in rows)
     else:
         _print_plain(envelope)
 
@@ -480,7 +541,14 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit({"command": args.command, **body}, args.format, csv_rows)
+    try:
+        _emit({"command": args.command, **body}, args.format, csv_rows)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send what Python still flushes at exit
+        # to devnull, as the signal module's SIGPIPE note does, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     return code
 
 

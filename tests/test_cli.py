@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: schema, exit codes, determinism, fixtures."""
 
+import csv
 import json
 import re
 import subprocess
@@ -83,12 +84,19 @@ def test_byte_identical_output_across_runs_and_parallelism():
     assert audit1.stdout == audit2.stdout
 
 
-def test_csv_columns():
+def test_csv_columns(capsys):
     proc = run_cli("count", "--p", "2", "--ell", "3", "--eK", "1",
                    "--fK", "1", "--format", "csv")
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "params,label,count"
     assert "p=2;ell=3;eK=1;fK=1,C(7),2" in lines
+    # a nonabelian label holds a comma, so its cell is quoted
+    assert cli.main(["oracle", "--p", "3", "--ell", "2", "--eK", "1",
+                     "--fK", "1", "--format", "csv"]) == 0
+    for out in (proc.stdout, capsys.readouterr().out):
+        rows = list(csv.reader(out.splitlines()))
+        assert all(len(row) == 3 for row in rows), rows
+        assert any(row[1].startswith("NA(") for row in rows)
 
 
 def test_crosscheck_fixture_matches():
@@ -186,6 +194,20 @@ def test_usage_errors_exit_one():
                    "--fK", "1", "--bogus-flag").returncode == 1
     assert run_cli("count", "--p", "3", "--ell", "3", "--eK", "1",
                    "--fK", "1").returncode == 1
+
+
+def test_closed_pipe_exits_one_without_traceback():
+    # 133 KB of JSON, more than a pipe buffer holds, so the writer meets
+    # the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "padicext.cli", "module", "--p", "5", "--ell",
+         "2", "--eK", "1", "--fK", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT)
+    assert proc.stdout.read(100).startswith(b'{\n  "command": "module"')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err, err
 
 
 @pytest.mark.parametrize("flag,value,command", [
