@@ -83,8 +83,8 @@ def _census_block(report: CensusReport) -> dict:
     }
 
 
-# JSON text of the values written as they are; a str subclass, an int
-# subclass or any other type goes through _jsonable
+# JSON text of the exact types written as they are; other types go through
+# _jsonable, except str subclasses, which json.dumps writes by their characters
 _LEAVES = {type(None): lambda v: "null", bool: lambda v: "true" if v else "false",
            int: lambda v: '"%d"' % v, str: encode_basestring_ascii}
 
